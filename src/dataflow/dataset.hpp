@@ -56,7 +56,7 @@ class DataSet {
     node->source.generate = [generate = std::move(generate)](int part, mem::RecordBatch& out) {
       std::vector<T> rows;
       generate(part, rows);
-      for (const T& r : rows) out.append(r);
+      out.append_all(std::span<const T>(rows));
     };
     return DataSet(&engine, std::move(node));
   }
@@ -175,7 +175,7 @@ class DataSet {
       std::span<const T> rows(in.count() ? in.template aos_view<T>() : nullptr, in.count());
       std::vector<U> result;
       fn(rows, result);
-      for (const U& r : result) out.append(r);
+      out.append_all(std::span<const U>(result));
     };
     return DataSet<U>(engine_, std::move(n));
   }

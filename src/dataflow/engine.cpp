@@ -5,7 +5,8 @@
 #include "dataflow/engine.hpp"
 
 #include <map>
-#include <unordered_map>
+
+#include "mem/key_index.hpp"
 
 namespace gflink::dataflow {
 
@@ -333,16 +334,15 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::apply_record_ops(
 
 mem::RecordBatch Engine::combine_by_key(const OpNode& reduce, const mem::RecordBatch& in) {
   mem::RecordBatch acc(reduce.out_desc);
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(in.count());
+  mem::KeyIndex index;
   for (std::size_t i = 0; i < in.count(); ++i) {
     const std::byte* rec = in.record_ptr(i);
-    const std::uint64_t key = reduce.key_fn(rec);
-    auto [it, inserted] = index.try_emplace(key, acc.count());
+    const auto [at, inserted] =
+        index.try_emplace(reduce.key_fn(rec), [&] { return mem::KeySlot::at(0, acc.count()); });
     if (inserted) {
       acc.append_raw(rec);
     } else {
-      reduce.combine_fn(acc.record_ptr(it->second), rec);
+      reduce.combine_fn(acc.record_ptr(at.slot), rec);
     }
   }
   return acc;

@@ -297,6 +297,11 @@ class Engine {
   /// metadata (partitions stay where they are; Flink's union is also free).
   DataHandle union_of(const DataHandle& a, const DataHandle& b) const;
 
+  /// Local combine of `batch` into per-key accumulators: `reduce`'s
+  /// combine_fn folds each record into the first record seen with its key,
+  /// and the accumulators keep first-occurrence order.
+  static mem::RecordBatch combine_by_key(const OpNode& reduce, const mem::RecordBatch& batch);
+
   /// Send `bytes` from the master to every worker (broadcast variables,
   /// e.g. the KMeans centers each superstep).
   sim::Co<void> broadcast(Job& job, std::uint64_t bytes);
@@ -334,9 +339,6 @@ class Engine {
   // `session` — the single copy of the per-bucket send loop.
   sim::Co<void> scatter_partition(const MaterializedDataSet::Part& part, const KeyFn& key,
                                   shuffle::ShuffleSession& session, obs::SpanId stage_span);
-
-  // Local combine of `batch` into per-key accumulators.
-  static mem::RecordBatch combine_by_key(const OpNode& reduce, const mem::RecordBatch& batch);
 
   int owner_of_partition(int index) const { return 1 + index % num_workers(); }
 

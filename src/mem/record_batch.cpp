@@ -41,11 +41,13 @@ std::size_t RecordBatch::byte_size() const {
   return bytes_.size();
 }
 
-void RecordBatch::append_raw(const void* record_bytes) {
+void RecordBatch::append_raw(const void* record_bytes) { append_raw(record_bytes, 1); }
+
+void RecordBatch::append_raw(const void* record_bytes, std::size_t count) {
   GFLINK_CHECK_MSG(layout_ == Layout::AoS, "append requires AoS layout");
   const auto* src = static_cast<const std::byte*>(record_bytes);
-  bytes_.insert(bytes_.end(), src, src + desc_->stride());
-  ++count_;
+  bytes_.insert(bytes_.end(), src, src + count * desc_->stride());
+  count_ += count;
 }
 
 const std::byte* RecordBatch::record_ptr(std::size_t i) const {

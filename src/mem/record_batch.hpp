@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "mem/gstruct.hpp"
@@ -34,6 +35,8 @@ class RecordBatch {
   /// Append one record given its AoS-layout bytes (desc().stride() long).
   /// Only valid for AoS batches.
   void append_raw(const void* record_bytes);
+  /// Append `count` consecutive AoS records in one copy.
+  void append_raw(const void* record_bytes, std::size_t count);
 
   /// Pointer to record i (AoS only).
   const std::byte* record_ptr(std::size_t i) const;
@@ -72,6 +75,13 @@ class RecordBatch {
   void append(const T& record) {
     GFLINK_CHECK_MSG(desc_->matches_host_layout<T>(), "descriptor does not match host layout");
     append_raw(&record);
+  }
+  /// Append a span of typed records: one layout check and one copy for the
+  /// whole span.
+  template <typename T>
+  void append_all(std::span<const T> records) {
+    GFLINK_CHECK_MSG(desc_->matches_host_layout<T>(), "descriptor does not match host layout");
+    append_raw(records.data(), records.size());
   }
 
   /// Convert to another layout (returns a new batch; self if same layout).

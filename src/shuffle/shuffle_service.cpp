@@ -1,8 +1,8 @@
 #include "shuffle/shuffle_service.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "mem/key_index.hpp"
 #include "sim/random.hpp"
 
 namespace gflink::shuffle {
@@ -194,19 +194,21 @@ std::vector<mem::RecordBatch> ShuffleSession::partition(const mem::RecordBatch& 
   buckets.reserve(static_cast<std::size_t>(out_partitions_));
   for (int t = 0; t < out_partitions_; ++t) buckets.emplace_back(out_desc);
   if (combiner != nullptr) {
-    // Map-side combine: per-bucket accumulator slots keyed by the record
-    // key, preserving first-occurrence order (deterministic).
-    std::vector<std::unordered_map<std::uint64_t, std::size_t>> index(
-        static_cast<std::size_t>(out_partitions_));
+    // Map-side combine: one flat index from each key to its accumulator
+    // record, preserving first-occurrence order per bucket (deterministic).
+    // A hit skips the partition hash; only a new key picks its bucket.
+    mem::KeyIndex index;
     for (std::size_t i = 0; i < in.count(); ++i) {
       const std::byte* rec = in.record_ptr(i);
       const std::uint64_t k = key(rec);
-      const auto t = static_cast<std::size_t>(target_partition(k, out_partitions_));
-      auto [it, inserted] = index[t].try_emplace(k, buckets[t].count());
+      const auto [at, inserted] = index.try_emplace(k, [&] {
+        const auto t = static_cast<std::size_t>(target_partition(k, out_partitions_));
+        return mem::KeySlot::at(t, buckets[t].count());
+      });
       if (inserted) {
-        buckets[t].append_raw(rec);
+        buckets[at.bucket].append_raw(rec);
       } else {
-        (*combiner)(buckets[t].record_ptr(it->second), rec);
+        (*combiner)(buckets[at.bucket].record_ptr(at.slot), rec);
       }
     }
   } else {

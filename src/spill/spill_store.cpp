@@ -118,10 +118,8 @@ sim::Co<BlockHandle> SpillStore::offload(int node, std::uint64_t raw_bytes, std:
   if (block->tier == SpillTier::Dfs) {
     block->dfs_path = config_.dfs_dir + "/b" + std::to_string(block->id);
   }
-  const char* tier = spill_tier_name(block->tier);
-  metrics().counter("spill_offload_blocks_total", {{"tier", tier}}).inc();
-  metrics().counter("spill_offload_bytes_total", {{"tier", tier}}).inc(
-      static_cast<double>(raw_bytes));
+  counter("spill_offload_blocks_total", block->tier).inc();
+  counter("spill_offload_bytes_total", block->tier).inc(static_cast<double>(raw_bytes));
   return enqueue(std::move(block), link);
 }
 
@@ -134,9 +132,9 @@ sim::Co<BlockHandle> SpillStore::enqueue(BlockHandle block, obs::SpanLink link) 
   const sim::Time enqueue_begin = sim_->now();
   co_await st.queue.send(QueueItem{block, link});
   if (sim_->now() > enqueue_begin) {
-    metrics().counter("spill_producer_stalls_total", {{"tier", tier}}).inc();
-    metrics().counter("spill_producer_stall_ns_total", {{"tier", tier}}).inc(
-        static_cast<double>(sim_->now() - enqueue_begin));
+    counter("spill_producer_stalls_total", block->tier).inc();
+    counter("spill_producer_stall_ns_total", block->tier)
+        .inc(static_cast<double>(sim_->now() - enqueue_begin));
     cluster_->spans().record(std::string("wait:spill_enqueue:") + tier,
                              obs::SpanCategory::Wait, link.parent, enqueue_begin, sim_->now(),
                              spill_lane(node), node);
@@ -198,9 +196,8 @@ sim::Co<void> SpillStore::write_block(int node, BlockHandle handle, obs::SpanLin
       break;
   }
   cluster_->spans().close(span, sim_->now());
-  metrics().counter("spill_landed_blocks_total", {{"tier", tier}}).inc();
-  metrics().counter("spill_stored_bytes_total", {{"tier", tier}}).inc(
-      static_cast<double>(block.stored_bytes));
+  counter("spill_landed_blocks_total", block.tier).inc();
+  counter("spill_stored_bytes_total", block.tier).inc(static_cast<double>(block.stored_bytes));
   block.landed = true;
   if (block.land_trigger) block.land_trigger->fire();
   // The single accounting point: the caller's hook runs exactly once,
@@ -212,28 +209,23 @@ sim::Co<void> SpillStore::write_block(int node, BlockHandle handle, obs::SpanLin
   }
 }
 
-sim::Co<std::uint64_t> SpillStore::compress(int node, std::uint64_t raw, SpillTier t) {
-  const std::uint64_t stored = stored_size(raw, t);
-  if (config_.codec == SpillCodec::Lz && t != SpillTier::Memory && raw > 0) {
-    const char* tier = spill_tier_name(t);
+sim::Co<std::uint64_t> SpillStore::compress(int node, std::uint64_t raw, SpillTier tier) {
+  const std::uint64_t stored = stored_size(raw, tier);
+  if (config_.codec == SpillCodec::Lz && tier != SpillTier::Memory && raw > 0) {
     const sim::Duration cost = sim::transfer_time(raw, config_.compress_bandwidth);
     co_await sim_->delay(cost);
-    metrics().counter("codec_compress_ns_total", {{"tier", tier}}).inc(
-        static_cast<double>(cost));
-    metrics().counter("codec_saved_bytes_total", {{"tier", tier}}).inc(
-        static_cast<double>(raw - stored));
+    counter("codec_compress_ns_total", tier).inc(static_cast<double>(cost));
+    counter("codec_saved_bytes_total", tier).inc(static_cast<double>(raw - stored));
   }
   (void)node;
   co_return stored;
 }
 
-sim::Co<void> SpillStore::decompress(int node, std::uint64_t raw, SpillTier t) {
-  if (config_.codec == SpillCodec::Lz && t != SpillTier::Memory && raw > 0) {
-    const char* tier = spill_tier_name(t);
+sim::Co<void> SpillStore::decompress(int node, std::uint64_t raw, SpillTier tier) {
+  if (config_.codec == SpillCodec::Lz && tier != SpillTier::Memory && raw > 0) {
     const sim::Duration cost = sim::transfer_time(raw, config_.decompress_bandwidth);
     co_await sim_->delay(cost);
-    metrics().counter("codec_decompress_ns_total", {{"tier", tier}}).inc(
-        static_cast<double>(cost));
+    counter("codec_decompress_ns_total", tier).inc(static_cast<double>(cost));
   }
   (void)node;
 }
@@ -249,8 +241,8 @@ sim::Co<void> SpillStore::fetch(const BlockHandle& handle, int reader, obs::Span
     const sim::Time wait_begin = sim_->now();
     co_await block.land_trigger->wait();
     if (sim_->now() > wait_begin) {
-      metrics().counter("spill_fetch_wait_ns_total", {{"tier", tier}}).inc(
-          static_cast<double>(sim_->now() - wait_begin));
+      counter("spill_fetch_wait_ns_total", block.tier)
+          .inc(static_cast<double>(sim_->now() - wait_begin));
       cluster_->spans().record(std::string("wait:spill_land:") + tier,
                                obs::SpanCategory::Wait, link.parent, wait_begin, sim_->now(),
                                spill_lane(reader), reader);
@@ -285,7 +277,7 @@ sim::Co<void> SpillStore::fetch(const BlockHandle& handle, int reader, obs::Span
       co_await decompress(reader, block.raw_bytes, block.tier);
       break;
   }
-  metrics().counter("spill_tier_hits_total", {{"tier", tier}}).inc();
+  counter("spill_tier_hits_total", block.tier).inc();
   cluster_->spans().close(span, sim_->now());
   // Promotion: a re-read disk/DFS block moves back up into the memory
   // tier when room exists, so the next fetch is a memory hit.
@@ -307,9 +299,18 @@ sim::Co<void> SpillStore::fetch(const BlockHandle& handle, int reader, obs::Span
       mem_used += block.raw_bytes;
       block.tier = SpillTier::Memory;
       block.stored_bytes = block.raw_bytes;
-      metrics().counter("spill_promotions_total", {{"tier", to_tier}}).inc();
+      counter("spill_promotions_total", block.tier).inc();
     }
   }
+}
+
+obs::Counter& SpillStore::counter(const char* name, SpillTier tier) {
+  auto it = std::find_if(counters_.begin(), counters_.end(),
+                         [name](const CachedCounter& c) { return c.name == name; });
+  if (it == counters_.end()) it = counters_.insert(counters_.end(), CachedCounter{name, {}});
+  obs::Counter*& handle = it->by_tier[static_cast<std::size_t>(tier)];
+  if (handle == nullptr) handle = &metrics().counter(name, {{"tier", spill_tier_name(tier)}});
+  return *handle;
 }
 
 void SpillStore::release(const BlockHandle& handle) {

@@ -192,6 +192,11 @@ class SpillStore {
   NodeState& state(int node) { return *nodes_.at(static_cast<std::size_t>(node)); }
   const NodeState& state(int node) const { return *nodes_.at(static_cast<std::size_t>(node)); }
   obs::MetricsRegistry& metrics() { return cluster_->metrics(); }
+  /// The series `name{tier=...}`. Each handle is resolved from the
+  /// registry on its first increment and cached, so later increments skip
+  /// the label map and the keyed lookup, and a series that is never
+  /// incremented never appears in exports.
+  obs::Counter& counter(const char* name, SpillTier tier);
 
   /// Pick the cheapest tier with room and reserve the block's footprint
   /// (raw bytes on the memory tier, stored bytes on disk; DFS is the
@@ -218,6 +223,14 @@ class SpillStore {
   SpillConfig config_;
   std::uint64_t next_block_id_ = 1;
   std::vector<std::unique_ptr<NodeState>> nodes_;  // indexed by node id
+  /// counter()'s cache, keyed by the address of the name literal: every
+  /// emission site passes its own literal, so this holds about a dozen
+  /// entries. (Two sites sharing a name would cache the same handle twice.)
+  struct CachedCounter {
+    const char* name;
+    obs::Counter* by_tier[kSpillTiers];
+  };
+  std::vector<CachedCounter> counters_;
 };
 
 }  // namespace gflink::spill

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <map>
 #include <numeric>
 
@@ -478,6 +479,51 @@ TEST(Engine, DeterministicAcrossRuns) {
     return std::pair<sim::Time, std::uint64_t>(end, n);
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Engine, CombineByKeyMatchesOrderedMapReference) {
+  // Keys 0 and ~0ULL are valid, strided keys share their low bits (they
+  // collide modulo any power-of-two table size), and 3000 distinct keys
+  // force several growths of the flat index.
+  std::vector<std::uint64_t> pool = {0, ~0ULL, 1, ~0ULL - 1};
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    pool.push_back(i << 16);
+    pool.push_back(i << 32);
+    pool.push_back(i << 58);
+  }
+  std::uint64_t s = 5;
+  while (pool.size() < 3000) pool.push_back(sim::splitmix64(s));
+  mem::RecordBatch in(&kv_desc());
+  std::vector<KV> expected;
+  std::map<std::uint64_t, std::size_t> slot;
+  for (std::size_t i = 0; i < 20000; ++i) {
+    const KV kv{pool[sim::splitmix64(s) % pool.size()], static_cast<std::int64_t>(i)};
+    in.append(kv);
+    auto [it, inserted] = slot.try_emplace(kv.key, expected.size());
+    if (inserted) {
+      expected.push_back(kv);
+    } else {
+      expected[it->second].value += kv.value;
+    }
+  }
+  df::OpNode reduce;
+  reduce.out_desc = &kv_desc();
+  reduce.key_fn = [](const std::byte* rec) {
+    KV kv;
+    std::memcpy(&kv, rec, sizeof(KV));
+    return kv.key;
+  };
+  reduce.combine_fn = [](std::byte* acc, const std::byte* rec) {
+    KV a, r;
+    std::memcpy(&a, acc, sizeof(KV));
+    std::memcpy(&r, rec, sizeof(KV));
+    a.value += r.value;
+    std::memcpy(acc, &a, sizeof(KV));
+  };
+  const mem::RecordBatch out = Engine::combine_by_key(reduce, in);
+  ASSERT_EQ(out.count(), expected.size());
+  ASSERT_EQ(out.bytes().size(), expected.size() * sizeof(KV));
+  EXPECT_EQ(0, std::memcmp(out.bytes().data(), expected.data(), out.bytes().size()));
 }
 
 // Property sweep: reduce_by_key conserves the value sum for any

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "mem/buffer.hpp"
 #include "mem/gstruct.hpp"
@@ -104,6 +106,36 @@ TEST(RecordBatch, AppendAndTypedAccess) {
   EXPECT_FLOAT_EQ(b.get<float>(2, 7), 3.5f);
   const PaperPoint* view = b.aos_view<PaperPoint>();
   EXPECT_EQ(view[3].x, 3u);
+}
+
+TEST(RecordBatch, BulkAppendMatchesPerRecordAppend) {
+  auto d = paper_point_desc();
+  std::vector<PaperPoint> rows(25);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].x = static_cast<std::uint32_t>(i);
+    rows[i].y = static_cast<double>(i) * 1.5;
+    rows[i].z = static_cast<float>(i) * 0.5f;
+  }
+  mem::RecordBatch one(&d);
+  for (const PaperPoint& p : rows) one.append(p);
+  mem::RecordBatch bulk(&d);
+  bulk.append_all(std::span<const PaperPoint>(rows.data(), 10));
+  bulk.append_all(std::span<const PaperPoint>());
+  bulk.append_all(std::span<const PaperPoint>(rows).subspan(10));
+  EXPECT_EQ(bulk.count(), one.count());
+  EXPECT_EQ(bulk.bytes(), one.bytes());
+  EXPECT_FLOAT_EQ(bulk.get<float>(2, 24), 12.0f);
+}
+
+TEST(RecordBatchDeathTest, BulkAppendChecksHostLayout) {
+  auto d = mem::StructDescBuilder("P", 8)
+               .field("x", FieldType::U32)
+               .field("y", FieldType::F64)
+               .field("z", FieldType::F32)
+               .build();
+  mem::RecordBatch b(&d);
+  const std::vector<PaperPoint> rows(3);
+  EXPECT_DEATH(b.append_all(std::span<const PaperPoint>(rows)), "host layout");
 }
 
 TEST(RecordBatch, SetMutates) {

@@ -136,6 +136,57 @@ TEST(Shuffle, PartitionWithCombineIsExactAndDeterministic) {
   EXPECT_EQ(total, rows.size());
 }
 
+/// Rows over keys that stress the flat combine index: 0 and ~0ULL (all
+/// valid keys), strided keys that share their low bits (collide modulo any
+/// power-of-two table size), and enough distinct keys to force several
+/// table growths. Keys repeat, so combining does real work.
+std::vector<KV> index_stress_rows() {
+  std::vector<std::uint64_t> pool = {0, ~0ULL, 1, ~0ULL - 1};
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    pool.push_back(i << 16);
+    pool.push_back(i << 32);
+    pool.push_back(i << 58);
+  }
+  std::uint64_t s = 11;
+  while (pool.size() < 3000) pool.push_back(sim::splitmix64(s));
+  std::vector<KV> rows;
+  for (std::size_t i = 0; i < 20000; ++i) {
+    rows.push_back(KV{pool[sim::splitmix64(s) % pool.size()], static_cast<std::int64_t>(i)});
+  }
+  return rows;
+}
+
+TEST(Shuffle, CombineIndexMatchesOrderedMapReference) {
+  Harness h(sh::ShuffleConfig{});
+  const int partitions = 5;
+  sh::ShuffleSession session(h.service, partitions, "t");
+  const std::vector<KV> rows = index_stress_rows();
+  const sh::CombineFn combiner = &combine_kv;
+  auto buckets = session.partition(make_batch(rows), &kv_desc(), &shuffle_key, &combiner);
+
+  // Reference: a std::map per bucket from key to accumulator slot.
+  std::vector<std::vector<KV>> expected(partitions);
+  std::vector<std::map<std::uint64_t, std::size_t>> slots(partitions);
+  for (const KV& kv : rows) {
+    std::uint64_t s = kv.key;
+    const auto t = static_cast<std::size_t>(sim::splitmix64(s) % partitions);
+    auto [it, inserted] = slots[t].try_emplace(kv.key, expected[t].size());
+    if (inserted) {
+      expected[t].push_back(kv);
+    } else {
+      expected[t][it->second].value += kv.value;
+    }
+  }
+  ASSERT_EQ(buckets.size(), expected.size());
+  for (std::size_t t = 0; t < expected.size(); ++t) {
+    ASSERT_EQ(buckets[t].count(), expected[t].size());
+    ASSERT_EQ(buckets[t].bytes().size(), expected[t].size() * sizeof(KV));
+    EXPECT_EQ(0, std::memcmp(buckets[t].bytes().data(), expected[t].data(),
+                             expected[t].size() * sizeof(KV)))
+        << "bucket " << t;
+  }
+}
+
 TEST(Shuffle, CreditWindowBoundsInFlightBlocksAndStallsSenders) {
   sh::ShuffleConfig cfg;
   cfg.mode = sh::ShuffleMode::Pipelined;  // credits are a pipelined-transport mechanism

@@ -418,6 +418,78 @@ TEST(Zipf, HeavyTail) {
   EXPECT_GT(counts[0], 5000);
 }
 
+namespace {
+
+/// The pre-guide-table sampler: the same CDF, searched over its full range.
+struct FullSearchZipf {
+  FullSearchZipf(std::size_t n, double s) : cdf(n) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+      cdf[i] = sum;
+    }
+    for (auto& c : cdf) c /= sum;
+  }
+  std::size_t sample_u(double u) const {
+    std::size_t lo = 0, hi = cdf.size() - 1;
+    while (lo < hi) {
+      std::size_t mid = (lo + hi) / 2;
+      if (cdf[mid] < u)
+        lo = mid + 1;
+      else
+        hi = mid;
+    }
+    return lo;
+  }
+  std::vector<double> cdf;
+};
+
+}  // namespace
+
+TEST(Zipf, GuideTableMatchesFullSearchForEveryDraw) {
+  struct Case {
+    std::size_t n;
+    double s;
+    std::uint64_t draws;
+  };
+  for (const Case c : {Case{1, 1.0, 1000}, Case{2, 1.0, 100000}, Case{7, 2.0, 100000},
+                       Case{1000, 0.5, 500000}, Case{1000, 1.3, 500000},
+                       Case{30000, 1.0, 2000000}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << c.n << " s=" << c.s);
+    const sim::ZipfTable z(c.n, c.s);
+    const FullSearchZipf ref(c.n, c.s);
+    std::size_t mismatches = 0;
+    auto check = [&](double u) {
+      if (z.sample_u(u) != ref.sample_u(u) && ++mismatches <= 5) {
+        ADD_FAILURE() << "u=" << u << " guide=" << z.sample_u(u) << " full=" << ref.sample_u(u);
+      }
+    };
+    // Hashed draws, derived exactly as the WordCount generator does.
+    for (std::uint64_t i = 0; i < c.draws; ++i) {
+      std::uint64_t h = i * 1000003 + 1;
+      check(static_cast<double>(sim::splitmix64(h) >> 11) * 0x1.0p-53);
+    }
+    // Every bucket edge j/n and its neighbours, where u*n may round into
+    // the adjacent bucket.
+    const double dn = static_cast<double>(c.n);
+    for (std::size_t j = 0; j <= c.n; ++j) {
+      const double edge = static_cast<double>(j) / dn;
+      for (double u : {edge, std::nextafter(edge, 0.0), std::nextafter(edge, 1.0)}) {
+        if (u < 1.0) check(u);
+      }
+    }
+    // Every CDF value and its neighbours (exact ties decide the index).
+    for (double v : ref.cdf) {
+      for (double u : {v, std::nextafter(v, 0.0), std::nextafter(v, 1.0)}) {
+        if (u < 1.0) check(u);
+      }
+    }
+    check(0.0);
+    check(std::nextafter(1.0, 0.0));
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
 TEST(Stats, SummaryAndHistogram) {
   sim::Histogram h(0.0, 100.0, 10);
   for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));

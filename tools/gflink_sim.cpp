@@ -114,6 +114,24 @@ void print_usage() {
       "                           detector (0 = detector off)\n");
 }
 
+/// Read a count flag's value; prints a one-line error unless it is a
+/// positive integer.
+bool positive_int(const std::string& flag, const char* text, int* out) {
+  *out = std::atoi(text);
+  if (*out > 0) return true;
+  std::fprintf(stderr, "%s must be a positive integer, got '%s'\n", flag.c_str(), text);
+  return false;
+}
+
+/// Read a real-valued flag's value; prints a one-line error unless it is
+/// positive.
+bool positive_real(const std::string& flag, const char* text, double* out) {
+  *out = std::atof(text);
+  if (*out > 0) return true;
+  std::fprintf(stderr, "%s must be positive, got '%s'\n", flag.c_str(), text);
+  return false;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.workload = argv[1];
@@ -136,12 +154,10 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.mode = v;
     } else if (arg == "--workers") {
       const char* v = value();
-      if (!v) return false;
-      opt.testbed.workers = std::atoi(v);
+      if (!v || !positive_int(arg, v, &opt.testbed.workers)) return false;
     } else if (arg == "--gpus") {
       const char* v = value();
-      if (!v) return false;
-      opt.testbed.gpus_per_worker = std::atoi(v);
+      if (!v || !positive_int(arg, v, &opt.testbed.gpus_per_worker)) return false;
     } else if (arg == "--gpu") {
       const char* v = value();
       if (!v) return false;
@@ -156,20 +172,17 @@ bool parse(int argc, char** argv, Options& opt) {
       }
     } else if (arg == "--size") {
       const char* v = value();
-      if (!v) return false;
-      opt.size = std::atof(v);
+      if (!v || !positive_real(arg, v, &opt.size)) return false;
     } else if (arg == "--iterations") {
       const char* v = value();
       if (!v) return false;
       opt.iterations = std::atoi(v);
     } else if (arg == "--scale") {
       const char* v = value();
-      if (!v) return false;
-      opt.testbed.scale = std::atof(v);
+      if (!v || !positive_real(arg, v, &opt.testbed.scale)) return false;
     } else if (arg == "--streams") {
       const char* v = value();
-      if (!v) return false;
-      opt.testbed.streams_per_gpu = std::atoi(v);
+      if (!v || !positive_int(arg, v, &opt.testbed.streams_per_gpu)) return false;
     } else if (arg == "--scheduling") {
       const char* v = value();
       if (!v) return false;
