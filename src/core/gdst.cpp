@@ -19,18 +19,15 @@ struct BlockResult {
 };
 
 /// Retire the oldest in-flight block: await completion, append its output
-/// records in block order, and release its host buffers back to the page
+/// records in one copy, and release its host buffers back to the page
 /// budget. Bounding the in-flight window keeps the task's footprint
 /// independent of partition size (and free of budget deadlocks). A named
 /// coroutine instead of a capturing lambda (gflint C1); awaited in-scope.
-sim::Co<void> retire_oldest_block(std::deque<BlockResult>& in_flight, mem::RecordBatch& out,
-                                  std::size_t out_stride) {
+sim::Co<void> retire_oldest_block(std::deque<BlockResult>& in_flight, mem::RecordBatch& out) {
   BlockResult r = std::move(in_flight.front());
   in_flight.pop_front();
   co_await r.work->done->wait();
-  for (std::size_t i = 0; i < r.out_records; ++i) {
-    out.append_raw(r.out_buffer->data() + i * out_stride);
-  }
+  out.append_raw(r.out_buffer->data(), r.out_records);
 }
 
 }  // namespace
@@ -114,11 +111,11 @@ sim::Co<void> gpu_map_partition_run(dataflow::TaskContext& ctx, const GpuOpSpec&
     mgr.streams().submit(work);
     in_flight.push_back(BlockResult{std::move(work), out_records, std::move(out_buf)});
     if (in_flight.size() >= window) {
-      co_await retire_oldest_block(in_flight, out, out_stride);
+      co_await retire_oldest_block(in_flight, out);
     }
   }
   while (!in_flight.empty()) {
-    co_await retire_oldest_block(in_flight, out, out_stride);
+    co_await retire_oldest_block(in_flight, out);
   }
 }
 

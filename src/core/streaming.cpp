@@ -52,8 +52,8 @@ sim::Co<void> source_loop(Engine& engine, Pipeline& pl, EventGenerator generate,
   out.close();
 }
 
-sim::Co<void> map_loop(Engine& engine, Pipeline& pl, const StreamOp& op, EventChannel& in,
-                       EventChannel& out) {
+sim::Co<void> map_loop(Engine& engine, Pipeline& pl, const StreamOp& op,
+                       const mem::StructDesc* in_desc, EventChannel& in, EventChannel& out) {
   const net::Node& node = engine.cluster().node(pl.worker);
   const sim::Duration per_event = node.record_time(op.cost.flops, op.cost.bytes);
   const std::size_t out_stride = op.out_desc->stride();
@@ -61,9 +61,10 @@ sim::Co<void> map_loop(Engine& engine, Pipeline& pl, const StreamOp& op, EventCh
     auto ev = co_await in.recv();
     if (!ev) break;
     co_await engine.sim().delay(per_event);
+    mem::RecordBatch event(in_desc);
+    event.append_raw(ev->bytes.data());
     mem::RecordBatch scratch(op.out_desc);
-    dataflow::Emitter emitter(scratch);
-    op.map_fn(ev->bytes.data(), emitter);
+    op.map_fn(event, scratch);
     for (std::size_t r = 0; r < scratch.count(); ++r) {
       Event next;
       next.emitted = ev->emitted;
@@ -237,12 +238,13 @@ sim::Co<StreamingResult> run_streaming(Engine& engine, Job& job, const mem::Stru
     engine.sim().spawn(source_loop(engine, *pl, generate, in_desc,
                                    static_cast<std::uint64_t>(p), count,
                                    static_cast<std::uint64_t>(parallelism), interval, start));
+    const mem::StructDesc* desc = in_desc;  // records entering ops[o]
     for (std::size_t o = 0; o < ops.size(); ++o) {
       EventChannel& in = *pl->channels[o];
       EventChannel& out = *pl->channels[o + 1];
       switch (ops[o].kind) {
         case StreamOp::Kind::Map:
-          engine.sim().spawn(map_loop(engine, *pl, ops[o], in, out));
+          engine.sim().spawn(map_loop(engine, *pl, ops[o], desc, in, out));
           break;
         case StreamOp::Kind::GpuBatch:
           engine.sim().spawn(gpu_batch_loop(engine, job, *pl, ops[o], in, out));
@@ -251,6 +253,7 @@ sim::Co<StreamingResult> run_streaming(Engine& engine, Job& job, const mem::Stru
           engine.sim().spawn(window_loop(engine, *pl, ops[o], in, out));
           break;
       }
+      desc = ops[o].out_desc;
     }
     done.add();
     engine.sim().spawn([](Engine& eng, Pipeline& pipe, sim::WaitGroup& join) -> sim::Co<void> {

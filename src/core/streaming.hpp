@@ -33,12 +33,12 @@
 
 namespace gflink::core {
 
+using dataflow::BatchFn;
 using dataflow::CombineFn;
 using dataflow::Engine;
 using dataflow::Job;
 using dataflow::KeyFn;
 using dataflow::OpCost;
-using dataflow::RecordFn;
 
 struct StreamOp {
   enum class Kind : std::uint8_t { Map, GpuBatch, WindowSum };
@@ -46,8 +46,9 @@ struct StreamOp {
   std::string name;
   const mem::StructDesc* out_desc = nullptr;
 
-  // Map: applied per event.
-  RecordFn map_fn;
+  // Map: applied per event, to a one-record batch of the previous
+  // operator's (or the source's) descriptor; appends to `out_desc` records.
+  BatchFn map_fn;
   OpCost cost;
 
   // GpuBatch: kernel over micro-batches of `batch_size` events. The kernel

@@ -12,6 +12,7 @@
 // paper's central data-representation idea.
 #pragma once
 
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -21,15 +22,17 @@
 
 namespace gflink::dataflow {
 
-/// Typed emit-collector handed to flatMap user functions.
+/// Typed emit-collector handed to flatMap, groupReduce, coGroup and join
+/// user functions. It gathers the emitted records into a typed buffer that
+/// the operator appends to its output batch in one copy.
 template <typename U>
 class FlatCollector {
  public:
-  explicit FlatCollector(Emitter& emitter) : emitter_(&emitter) {}
-  void add(const U& record) { emitter_->emit(record); }
+  explicit FlatCollector(std::vector<U>& rows) : rows_(&rows) {}
+  void add(const U& record) { rows_->push_back(record); }
 
  private:
-  Emitter* emitter_;
+  std::vector<U>* rows_;
 };
 
 template <typename T>
@@ -77,32 +80,63 @@ class DataSet {
   const mem::StructDesc* desc() const { return node_->out_desc; }
 
   // ---- Transformations --------------------------------------------------
+  //
+  // Record operators take the user function as a template parameter and
+  // compile one typed loop per batch: no per-record type-erased call and
+  // one layout check per batch. `fn(const T&) -> U` for map,
+  // `fn(const T&, FlatCollector<U>&)` for flat_map, `pred(const T&) -> bool`
+  // for filter.
 
-  template <typename U>
-  DataSet<U> map(const mem::StructDesc* out_desc, std::string name, OpCost cost,
-                 std::function<U(const T&)> fn) const {
+  template <typename U, typename F>
+  DataSet<U> map(const mem::StructDesc* out_desc, std::string name, OpCost cost, F fn) const {
     auto n = record_node(out_desc, std::move(name), cost);
-    n->record_fn = [fn = std::move(fn)](const std::byte* rec, Emitter& out) {
-      out.emit(fn(*reinterpret_cast<const T*>(rec)));
+    n->record_fn = [fn = std::move(fn)](const mem::RecordBatch& in,
+                                        mem::RecordBatch& out) mutable {
+      const std::size_t count = in.count();
+      if (count == 0) return;
+      const T* src = in.template aos_view<T>();
+      const std::size_t base = out.count();
+      out.resize(base + count);
+      U* dst = out.template aos_view<U>() + base;
+      for (std::size_t i = 0; i < count; ++i) dst[i] = fn(src[i]);
     };
     return DataSet<U>(engine_, std::move(n));
   }
 
-  template <typename U>
+  template <typename U, typename F>
   DataSet<U> flat_map(const mem::StructDesc* out_desc, std::string name, OpCost cost,
-                      std::function<void(const T&, FlatCollector<U>&)> fn) const {
+                      F fn) const {
     auto n = record_node(out_desc, std::move(name), cost);
-    n->record_fn = [fn = std::move(fn)](const std::byte* rec, Emitter& out) {
-      FlatCollector<U> collector(out);
-      fn(*reinterpret_cast<const T*>(rec), collector);
+    n->record_fn = [fn = std::move(fn)](const mem::RecordBatch& in,
+                                        mem::RecordBatch& out) mutable {
+      const std::size_t count = in.count();
+      if (count == 0) return;
+      const T* src = in.template aos_view<T>();
+      std::vector<U> rows;
+      rows.reserve(count);
+      FlatCollector<U> collector(rows);
+      for (std::size_t i = 0; i < count; ++i) fn(src[i], collector);
+      out.append_all<U>(rows);
     };
     return DataSet<U>(engine_, std::move(n));
   }
 
-  DataSet filter(std::string name, OpCost cost, std::function<bool(const T&)> pred) const {
+  template <typename F>
+  DataSet filter(std::string name, OpCost cost, F pred) const {
     auto n = record_node(node_->out_desc, std::move(name), cost);
-    n->record_fn = [pred = std::move(pred)](const std::byte* rec, Emitter& out) {
-      if (pred(*reinterpret_cast<const T*>(rec))) out.emit_raw(rec);
+    n->record_fn = [pred = std::move(pred)](const mem::RecordBatch& in,
+                                            mem::RecordBatch& out) mutable {
+      const std::size_t count = in.count();
+      if (count == 0) return;
+      const T* src = in.template aos_view<T>();
+      const std::size_t base = out.count();
+      out.resize(base + count);
+      T* dst = out.template aos_view<T>() + base;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (pred(src[i])) std::memcpy(dst + kept++, src + i, sizeof(T));
+      }
+      out.resize(base + kept);
     };
     return DataSet(engine_, std::move(n));
   }
@@ -145,12 +179,14 @@ class DataSet {
       return key(*reinterpret_cast<const T*>(rec));
     };
     n->group_fn = [group_fn = std::move(group_fn)](const std::vector<const std::byte*>& group,
-                                                   Emitter& out) {
+                                                   mem::RecordBatch& out) {
       std::vector<const T*> typed;
       typed.reserve(group.size());
       for (const std::byte* p : group) typed.push_back(reinterpret_cast<const T*>(p));
-      FlatCollector<U> collector(out);
+      std::vector<U> rows;
+      FlatCollector<U> collector(rows);
       group_fn(typed, collector);
+      out.append_all<U>(rows);
     };
     return DataSet<U>(engine_, std::move(n));
   }
@@ -301,15 +337,18 @@ sim::Co<DataHandle> co_group(
         return right_key(*reinterpret_cast<const R*>(rec));
       },
       [group_fn = std::move(group_fn)](const std::vector<const std::byte*>& l,
-                                       const std::vector<const std::byte*>& r, Emitter& out) {
+                                       const std::vector<const std::byte*>& r,
+                                       mem::RecordBatch& out) {
         std::vector<const L*> lv;
         lv.reserve(l.size());
         for (const std::byte* p : l) lv.push_back(reinterpret_cast<const L*>(p));
         std::vector<const R*> rv;
         rv.reserve(r.size());
         for (const std::byte* p : r) rv.push_back(reinterpret_cast<const R*>(p));
-        FlatCollector<O> collector(out);
+        std::vector<O> rows;
+        FlatCollector<O> collector(rows);
         group_fn(lv, rv, collector);
+        out.append_all<O>(rows);
       },
       out_desc, cost, partitions, name);
 }
@@ -330,9 +369,12 @@ sim::Co<DataHandle> join(Job& job, const DataHandle& left, const DataHandle& rig
       [right_key = std::move(right_key)](const std::byte* rec) {
         return right_key(*reinterpret_cast<const R*>(rec));
       },
-      [join_fn = std::move(join_fn)](const std::byte* l, const std::byte* r, Emitter& out) {
-        FlatCollector<O> collector(out);
+      [join_fn = std::move(join_fn)](const std::byte* l, const std::byte* r,
+                                     mem::RecordBatch& out) {
+        std::vector<O> rows;
+        FlatCollector<O> collector(rows);
         join_fn(*reinterpret_cast<const L*>(l), *reinterpret_cast<const R*>(r), collector);
+        out.append_all<O>(rows);
       },
       out_desc, cost, partitions, name);
 }

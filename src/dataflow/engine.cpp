@@ -319,13 +319,12 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::apply_record_ops(
   sim::Duration total = 0;
   std::shared_ptr<mem::RecordBatch> cur = std::move(batch);
   for (const OpNode* op : stage.record_ops) {
+    // The host runs each chained op once over the whole batch; virtual time
+    // still charges Flink's iterator model, one record_time per input record.
     auto next = std::make_shared<mem::RecordBatch>(op->out_desc);
-    Emitter emitter(*next);
-    const std::size_t n = cur->count();
-    for (std::size_t i = 0; i < n; ++i) {
-      op->record_fn(cur->record_ptr(i), emitter);
-    }
-    total += static_cast<sim::Duration>(n) * node.record_time(op->cost.flops, op->cost.bytes);
+    op->record_fn(*cur, *next);
+    total += static_cast<sim::Duration>(cur->count()) *
+             node.record_time(op->cost.flops, op->cost.bytes);
     cur = std::move(next);
   }
   co_await work_delay(worker, total);
@@ -593,17 +592,16 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
               ++n_in;
             }
           }
-          Emitter emitter(*merged);
           for (const auto& [key, group] : groups) {
-            term->group_fn(group, emitter);
+            term->group_fn(group, *merged);
           }
           co_await eng.sim().delay(
-              static_cast<sim::Duration>(n_in + emitter.emitted()) *
+              static_cast<sim::Duration>(n_in + merged->count()) *
               eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
         } else if (term->kind == OpKind::ReduceByKey) {
           mem::RecordBatch all(term->out_desc);
           for (const auto& b : deposited) {
-            for (std::size_t i = 0; i < b.count(); ++i) all.append_raw(b.record_ptr(i));
+            if (!b.empty()) all.append_raw(b.record_ptr(0), b.count());
           }
           *merged = Engine::combine_by_key(*term, all);
           co_await eng.sim().delay(
@@ -611,7 +609,7 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
               eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
         } else {  // Rebalance: concatenation plus the deferred transfers
           for (auto& b : deposited) {
-            for (std::size_t i = 0; i < b.count(); ++i) merged->append_raw(b.record_ptr(i));
+            if (!b.empty()) merged->append_raw(b.record_ptr(0), b.count());
           }
           co_await eng.sim().delay(
               static_cast<sim::Duration>(n) *
@@ -667,9 +665,8 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::collect(Job& job, PlanNodePtr
   }
   auto merged = std::make_shared<mem::RecordBatch>(data->desc);
   for (const auto& part : data->parts) {
-    if (!part.batch) continue;
-    for (std::size_t i = 0; i < part.batch->count(); ++i) {
-      merged->append_raw(part.batch->record_ptr(i));
+    if (part.batch && !part.batch->empty()) {
+      merged->append_raw(part.batch->record_ptr(0), part.batch->count());
     }
   }
   co_return merged;
@@ -784,17 +781,16 @@ sim::Co<DataHandle> Engine::join(Job& job, const DataHandle& left, const DataHan
         }
       }
       auto merged = std::make_shared<mem::RecordBatch>(result.desc);
-      Emitter emitter(*merged);
       for (const auto& b : rbs) {
         for (std::size_t i = 0; i < b.count(); ++i) {
           const std::byte* rec = b.record_ptr(i);
           auto [lo, hi] = table.equal_range(rk(rec));
-          for (auto it = lo; it != hi; ++it) jf(it->second, rec, emitter);
+          for (auto it = lo; it != hi; ++it) jf(it->second, rec, *merged);
           ++nr;
         }
       }
       co_await eng.sim().delay(
-          static_cast<sim::Duration>(nl + nr + emitter.emitted()) *
+          static_cast<sim::Duration>(nl + nr + merged->count()) *
           eng.cluster().node(node).record_time(c.flops, c.bytes));
       result.parts[static_cast<std::size_t>(t_index)] = {node, std::move(merged)};
       w.slots().release();
@@ -907,11 +903,10 @@ sim::Co<DataHandle> Engine::co_group(Job& job, const DataHandle& left,
         }
       }
       auto merged = std::make_shared<mem::RecordBatch>(result.desc);
-      Emitter emitter(*merged);
       for (const auto& [key, group] : groups) {
-        gf(group.first, group.second, emitter);
+        gf(group.first, group.second, *merged);
       }
-      co_await eng.sim().delay(static_cast<sim::Duration>(n + emitter.emitted()) *
+      co_await eng.sim().delay(static_cast<sim::Duration>(n + merged->count()) *
                                eng.cluster().node(node).record_time(c.flops, c.bytes));
       result.parts[static_cast<std::size_t>(t_index)] = {node, std::move(merged)};
       w.slots().release();

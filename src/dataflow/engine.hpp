@@ -287,7 +287,7 @@ class Engine {
   /// join; the function sees all left then all right records of one key.
   using CoGroupFn = std::function<void(const std::vector<const std::byte*>& left,
                                        const std::vector<const std::byte*>& right,
-                                       Emitter& out)>;
+                                       mem::RecordBatch& out)>;
   sim::Co<DataHandle> co_group(Job& job, const DataHandle& left, const DataHandle& right,
                                KeyFn left_key, KeyFn right_key, CoGroupFn group_fn,
                                const mem::StructDesc* out_desc, OpCost cost, int partitions = 0,

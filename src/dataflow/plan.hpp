@@ -44,8 +44,8 @@ struct OpNode {
 
   // Kind-specific payloads (only the relevant ones are set).
   SourceSpec source;           // Source
-  RecordFn record_fn;          // Record
-  PartitionFn partition_fn;    // MapPartition
+  BatchFn record_fn;           // Record
+  BatchFn partition_fn;        // MapPartition
   AsyncPartitionFn async_fn;   // AsyncPartition
   KeyFn key_fn;                // ReduceByKey / GroupReduce
   CombineFn combine_fn;        // ReduceByKey

@@ -1,5 +1,5 @@
-// Common types for the dataflow engine: per-record cost model, the record
-// emitter, and the type-erased user-function signatures.
+// Common types for the dataflow engine: the per-record cost model and the
+// type-erased user-function signatures.
 #pragma once
 
 #include <cstddef>
@@ -22,35 +22,6 @@ struct OpCost {
   double bytes = 0.0;
 };
 
-/// Collects records an operator emits. FlatMap-style operators may emit
-/// zero or many records per input.
-class Emitter {
- public:
-  explicit Emitter(mem::RecordBatch& out) : out_(&out) {}
-
-  /// Emit a raw record laid out per the output descriptor (stride bytes).
-  void emit_raw(const void* record) {
-    out_->append_raw(record);
-    ++count_;
-  }
-
-  /// Emit a typed record through the zero-copy path.
-  template <typename U>
-  void emit(const U& record) {
-    out_->append(record);
-    ++count_;
-  }
-
-  std::uint64_t emitted() const { return count_; }
-
- private:
-  mem::RecordBatch* out_;
-  std::uint64_t count_ = 0;
-};
-
-/// Record-at-a-time operator: map / flatMap / filter all reduce to this.
-using RecordFn = std::function<void(const std::byte* record, Emitter& out)>;
-
 /// Key extraction for shuffles (reduceByKey, join).
 using KeyFn = std::function<std::uint64_t(const std::byte* record)>;
 
@@ -60,10 +31,14 @@ using CombineFn = std::function<void(std::byte* accumulator, const std::byte* re
 
 /// General (non-associative) group function: receives every record of one
 /// key and emits any number of output records (Flink's groupReduce).
-using GroupFn = std::function<void(const std::vector<const std::byte*>& group, Emitter& out)>;
+using GroupFn =
+    std::function<void(const std::vector<const std::byte*>& group, mem::RecordBatch& out)>;
 
-/// Whole-partition operator (block processing on the CPU).
-using PartitionFn = std::function<void(const mem::RecordBatch& in, mem::RecordBatch& out)>;
+/// Batch operator: reads `in` and appends its output records to `out`.
+/// Record ops (map / flatMap / filter) and CPU block processing
+/// (mapPartition) both run once per batch through it; the per-record
+/// iterator cost is charged by the engine, not paid on the host.
+using BatchFn = std::function<void(const mem::RecordBatch& in, mem::RecordBatch& out)>;
 
 /// Whole-partition asynchronous operator: the extension point the GFlink
 /// GPU layer plugs into (a GPU mapper submits GWork and awaits results).
@@ -74,7 +49,8 @@ using AsyncPartitionFn = std::function<sim::Co<void>(TaskContext& ctx, const mem
 using GeneratorFn = std::function<void(int partition, mem::RecordBatch& out)>;
 
 /// Join record constructor: build output records from a (left, right) pair.
-using JoinFn = std::function<void(const std::byte* left, const std::byte* right, Emitter& out)>;
+using JoinFn =
+    std::function<void(const std::byte* left, const std::byte* right, mem::RecordBatch& out)>;
 
 /// A materialized distributed dataset: partitions pinned to workers.
 /// This is what Flink calls an intermediate result; handles staying alive

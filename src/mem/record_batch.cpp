@@ -50,6 +50,12 @@ void RecordBatch::append_raw(const void* record_bytes, std::size_t count) {
   count_ += count;
 }
 
+void RecordBatch::resize(std::size_t count) {
+  GFLINK_CHECK_MSG(layout_ == Layout::AoS, "resize requires AoS layout");
+  bytes_.resize(count * desc_->stride());
+  count_ = count;
+}
+
 const std::byte* RecordBatch::record_ptr(std::size_t i) const {
   GFLINK_CHECK(layout_ == Layout::AoS);
   GFLINK_CHECK(i < count_);

@@ -1,7 +1,10 @@
 // RecordBatch: a block of records in one of the three GStruct layouts.
 //
-// The dataflow engine processes batches record-at-a-time (Flink's iterator
-// model); the GFlink layer ships whole batches to GPUs. Layout transforms
+// The dataflow engine charges virtual time record-at-a-time (Flink's
+// iterator model), but on the host it runs each chained record operator
+// once per batch, as a typed loop over aos_view<T>() that fills its output
+// in place or in one bulk append; the GFlink layer ships whole batches to
+// GPUs. Layout transforms
 // (AoS <-> SoA <-> AoP) are explicit so the layout ablation bench can
 // measure their cost and kernels can declare their preferred layout.
 #pragma once
@@ -37,6 +40,11 @@ class RecordBatch {
   void append_raw(const void* record_bytes);
   /// Append `count` consecutive AoS records in one copy.
   void append_raw(const void* record_bytes, std::size_t count);
+
+  /// Set the record count of an AoS batch: added records are zero-filled,
+  /// records past `count` are dropped. Writers that fill a batch in place
+  /// grow it once, write through aos_view<T>() and trim the unused tail.
+  void resize(std::size_t count);
 
   /// Pointer to record i (AoS only).
   const std::byte* record_ptr(std::size_t i) const;

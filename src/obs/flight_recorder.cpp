@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <fstream>
 
 namespace gflink::obs {
@@ -24,11 +25,22 @@ std::string FlightRecorder::dump_path() const {
 }
 
 void FlightRecorder::on_span_closed(const CausalSpan& span) {
+  GFLINK_CHECK_MSG(span.node >= -1, "flight recorder node ids start at -1 (master)");
   core::MutexLock lock(mu_);
   ++spans_seen_;
-  auto& ring = spans_[span.node];
-  ring.push_back(span);
-  while (ring.size() > capacity_) ring.pop_front();
+  const auto index = static_cast<std::size_t>(span.node + 1);
+  if (index >= spans_.size()) spans_.resize(index + 1);
+  SpanRing& ring = spans_[index];
+  if (!ring.seen) {
+    ring.seen = true;
+    ring.slots.reserve(capacity_);  // one allocation per ring, never regrown
+  }
+  if (ring.slots.size() < capacity_) {
+    ring.slots.push_back(span);
+  } else if (capacity_ > 0) {
+    ring.slots[ring.oldest] = span;
+    ring.oldest = (ring.oldest + 1) % capacity_;
+  }
 }
 
 void FlightRecorder::note_event(sim::Time at, int node, std::string kind, std::string detail) {
@@ -100,20 +112,28 @@ Json FlightRecorder::to_json_locked() const {
   root["events_seen"] = events_seen_;
   root["faults"] = faults_;
   Json nodes = Json::array();
-  // Walk the union of node ids in order (spans_ and events_ are std::map).
-  auto si = spans_.begin();
+  // Walk the union of node ids in order: the rings that saw a span (spans_
+  // is indexed by node + 1) and the event rings (events_ is a std::map).
+  std::size_t si = 0;
+  while (si < spans_.size() && !spans_[si].seen) ++si;
   auto ei = events_.begin();
-  while (si != spans_.end() || ei != events_.end()) {
+  while (si < spans_.size() || ei != events_.end()) {
+    const int ring_node = static_cast<int>(si) - 1;
     int node;
-    if (si == spans_.end()) node = ei->first;
-    else if (ei == events_.end()) node = si->first;
-    else node = std::min(si->first, ei->first);
+    if (si == spans_.size()) node = ei->first;
+    else if (ei == events_.end()) node = ring_node;
+    else node = std::min(ring_node, ei->first);
     Json entry = Json::object();
     entry["node"] = node;
     Json spans = Json::array();
-    if (si != spans_.end() && si->first == node) {
-      for (const auto& s : si->second) spans.push_back(s.to_json());
-      ++si;
+    if (si < spans_.size() && ring_node == node) {
+      const SpanRing& ring = spans_[si];
+      const std::size_t n = ring.slots.size();
+      for (std::size_t k = 0; k < n; ++k) {
+        spans.push_back(ring.slots[(ring.oldest + k) % n].to_json());  // oldest first
+      }
+      do ++si;
+      while (si < spans_.size() && !spans_[si].seen);
     }
     entry["spans"] = std::move(spans);
     Json events = Json::array();

@@ -21,6 +21,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/thread_annotations.hpp"
 #include "sim/time.hpp"
@@ -53,7 +54,7 @@ class FlightRecorder {
   std::string dump_path() const;
 
   /// SpanStore streams every completed span in; the ring keeps the most
-  /// recent `capacity` per node.
+  /// recent `capacity` per node. Node ids must be >= -1.
   void on_span_closed(const CausalSpan& span);
 
   /// Record a notable event (kept in the node's event ring).
@@ -84,12 +85,21 @@ class FlightRecorder {
   void clear();
 
  private:
+  /// One node's most recent spans in a fixed-capacity ring: slots fill up
+  /// to the capacity, then each new span is copy-assigned over the oldest
+  /// slot, reusing that slot's string and note buffers.
+  struct SpanRing {
+    bool seen = false;        // the node closed a span (dumped even if capacity is 0)
+    std::size_t oldest = 0;   // slot the next span overwrites once full
+    std::vector<CausalSpan> slots;
+  };
+
   Json to_json_locked() const GFLINK_REQUIRES(mu_);
 
   const std::size_t capacity_;
   mutable core::Mutex mu_;
   std::string dump_path_ GFLINK_GUARDED_BY(mu_);
-  std::map<int, std::deque<CausalSpan>> spans_ GFLINK_GUARDED_BY(mu_);  // per-node rings
+  std::vector<SpanRing> spans_ GFLINK_GUARDED_BY(mu_);  // per-node rings, index node + 1
   std::map<int, std::deque<FlightEvent>> events_ GFLINK_GUARDED_BY(mu_);
   std::uint64_t spans_seen_ GFLINK_GUARDED_BY(mu_) = 0;
   std::uint64_t events_seen_ GFLINK_GUARDED_BY(mu_) = 0;

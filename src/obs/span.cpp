@@ -47,8 +47,9 @@ Json CausalSpan::to_json() const {
   return j;
 }
 
-SpanId SpanStore::open(std::string name, SpanCategory category, SpanId parent, sim::Time begin,
-                       std::string lane, int node, std::uint64_t trace_id) {
+CausalSpan SpanStore::start(std::string name, SpanCategory category, SpanId parent,
+                            sim::Time begin, std::string lane, int node,
+                            std::uint64_t trace_id) {
   CausalSpan s;
   s.id = next_id_++;
   s.parent = parent;
@@ -74,7 +75,13 @@ SpanId SpanStore::open(std::string name, SpanCategory category, SpanId parent, s
   } else {
     s.trace_id = trace_id;
   }
-  SpanId id = s.id;
+  return s;
+}
+
+SpanId SpanStore::open(std::string name, SpanCategory category, SpanId parent, sim::Time begin,
+                       std::string lane, int node, std::uint64_t trace_id) {
+  CausalSpan s = start(std::move(name), category, parent, begin, std::move(lane), node, trace_id);
+  const SpanId id = s.id;
   open_.emplace(id, std::move(s));
   return id;
 }
@@ -93,17 +100,25 @@ void SpanStore::close(SpanId id, sim::Time end) {
   CausalSpan s = std::move(it->second);
   open_.erase(it);
   s.end = end;
-  ++recorded_;
-  category_ns_[idx(s.category)] += s.duration();
-  if (flight_ != nullptr) flight_->on_span_closed(s);
-  if (retain_) closed_.push_back(std::move(s));
+  finish(std::move(s));
 }
 
 SpanId SpanStore::record(std::string name, SpanCategory category, SpanId parent, sim::Time begin,
                          sim::Time end, std::string lane, int node) {
-  SpanId id = open(std::move(name), category, parent, begin, std::move(lane), node);
-  close(id, end);
+  // Same id, trace id and close path as open() + close(), without the
+  // round trip through the open-span table.
+  CausalSpan s = start(std::move(name), category, parent, begin, std::move(lane), node, 0);
+  s.end = end;
+  const SpanId id = s.id;
+  finish(std::move(s));
   return id;
+}
+
+void SpanStore::finish(CausalSpan&& s) {
+  ++recorded_;
+  category_ns_[idx(s.category)] += s.duration();
+  if (flight_ != nullptr) flight_->on_span_closed(s);
+  if (retain_) closed_.push_back(std::move(s));
 }
 
 void SpanStore::clear() {

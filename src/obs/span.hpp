@@ -116,6 +116,14 @@ class SpanStore {
   void export_metrics(MetricsRegistry& m) const;
 
  private:
+  /// A new span with the next id. A root takes `trace_id`; a child
+  /// inherits its parent's if the parent is still open or retained, else 0.
+  CausalSpan start(std::string name, SpanCategory category, SpanId parent, sim::Time begin,
+                   std::string lane, int node, std::uint64_t trace_id);
+  /// Close path shared by close() and record(): counters, flight recorder,
+  /// retention.
+  void finish(CausalSpan&& s);
+
   bool retain_ = false;
   FlightRecorder* flight_ = nullptr;
   SpanId next_id_ = 1;

@@ -526,6 +526,90 @@ TEST(Engine, CombineByKeyMatchesOrderedMapReference) {
   EXPECT_EQ(0, std::memcmp(out.bytes().data(), expected.data(), out.bytes().size()));
 }
 
+TEST(Engine, RecordOpsMatchPerRecordReference) {
+  // A chained map -> filter -> flat_map over partitions of uneven size,
+  // some empty. Each output partition must equal, byte for byte, what the
+  // same functions give one record at a time, and the stage must charge
+  // n x record_time for every chained op, n being that op's input count.
+  const std::vector<std::uint64_t> sizes = {0, 513, 0, 64, 1, 2000};
+  const auto map_fn = [](const KV& kv) {
+    return KV{kv.key * 31 + 7, kv.value ^ 0x5a};
+  };
+  const auto filter_fn = [](const KV& kv) { return kv.value % 3 != 0; };
+  const auto flat_fn = [](const KV& kv, auto& out) {
+    for (std::uint64_t j = 0; j < kv.key % 4; ++j) {  // 0..3 records
+      out.add(KV{kv.key + j, kv.value * static_cast<std::int64_t>(j + 1)});
+    }
+  };
+  const auto input = [&sizes](std::size_t part) {
+    std::vector<KV> rows;
+    std::uint64_t state = part;
+    for (std::uint64_t i = 0; i < sizes[part]; ++i) {
+      rows.push_back(KV{sim::splitmix64(state), static_cast<std::int64_t>(i)});
+    }
+    return rows;
+  };
+  const OpCost map_cost{3.0, 16.0}, filter_cost{1.0, 16.0}, flat_cost{5.0, 32.0};
+
+  Engine e(fast_config(2));
+  df::DataHandle out;
+  double busy_ns = 0;
+  e.run([&](Engine& eng) -> Co<void> {
+    Job job(eng, "t");
+    co_await job.submit();
+    auto source = DataSet<KV>::from_generator(
+        eng, &kv_desc(), static_cast<int>(sizes.size()),
+        [&input](int part, std::vector<KV>& rows) { rows = input(static_cast<std::size_t>(part)); });
+    df::DataHandle in = co_await source.materialize(job);
+    auto busy = [&eng] {
+      double total = 0;
+      for (int w = 1; w <= eng.num_workers(); ++w) {
+        total += eng.cluster().metrics().counter_value("engine.task_busy_ns",
+                                                        {{"node", std::to_string(w)}});
+      }
+      return total;
+    };
+    const double before = busy();
+    out = co_await DataSet<KV>::from_handle(eng, in)
+              .map<KV>(&kv_desc(), "m", map_cost, map_fn)
+              .filter("f", filter_cost, filter_fn)
+              .flat_map<KV>(&kv_desc(), "fm", flat_cost, flat_fn)
+              .materialize(job);
+    busy_ns = busy() - before;
+    job.finish();
+  });
+
+  const auto& node = e.cluster().node(1);
+  ASSERT_EQ(out->parts.size(), sizes.size());
+  sim::Duration expected_ns = 0;
+  for (std::size_t p = 0; p < sizes.size(); ++p) {
+    const std::vector<KV> rows = input(p);
+    std::vector<KV> mapped, kept, expected;
+    df::FlatCollector<KV> collector(expected);
+    for (const KV& kv : rows) mapped.push_back(map_fn(kv));
+    for (const KV& kv : mapped) {
+      if (filter_fn(kv)) kept.push_back(kv);
+    }
+    for (const KV& kv : kept) flat_fn(kv, collector);
+    expected_ns += static_cast<sim::Duration>(rows.size()) *
+                       node.record_time(map_cost.flops, map_cost.bytes) +
+                   static_cast<sim::Duration>(mapped.size()) *
+                       node.record_time(filter_cost.flops, filter_cost.bytes) +
+                   static_cast<sim::Duration>(kept.size()) *
+                       node.record_time(flat_cost.flops, flat_cost.bytes);
+
+    const mem::RecordBatch& got = *out->parts[p].batch;
+    ASSERT_EQ(got.count(), expected.size()) << "partition " << p;
+    ASSERT_EQ(got.bytes().size(), expected.size() * sizeof(KV));
+    if (!expected.empty()) {
+      EXPECT_EQ(0, std::memcmp(got.bytes().data(), expected.data(), got.bytes().size()))
+          << "partition " << p;
+    }
+  }
+  EXPECT_GT(expected_ns, 0);
+  EXPECT_EQ(busy_ns, static_cast<double>(expected_ns));
+}
+
 // Property sweep: reduce_by_key conserves the value sum for any
 // (partitions, records, keys) combination.
 class ReducePropertyTest

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -409,6 +410,83 @@ TEST(Spans, UntracedStoreStaysEmptyButCounts) {
   s.close(0, 99);
 }
 
+TEST(Spans, RecordMatchesOpenThenClose) {
+  // The same history built twice: one-shot spans through record(), or
+  // through open() + close(). Ids, trace ids, category totals, retained
+  // spans and flight-ring contents must agree. The one-shot spans cover
+  // four kinds of parent: none (a root), an open parent, and a closed
+  // parent that the store retained (retain on) or dropped (retain off).
+  struct Outcome {
+    std::vector<obs::SpanId> ids;
+    std::vector<std::uint64_t> trace_ids;  // of the one-shot spans
+    std::vector<double> category_ns;
+    std::string retained;
+    std::string flight;
+  };
+  auto build = [](bool use_record, bool retain) {
+    obs::FlightRecorder fr(/*ring_capacity=*/8);
+    obs::SpanStore s;
+    s.set_retain(retain);
+    s.attach_flight_recorder(&fr);
+    auto one_shot = [&](std::string name, obs::SpanCategory c, obs::SpanId parent,
+                        sim::Time begin, sim::Time end, std::string lane, int node) {
+      if (use_record) return s.record(std::move(name), c, parent, begin, end, std::move(lane), node);
+      const obs::SpanId id = s.open(std::move(name), c, parent, begin, std::move(lane), node);
+      s.close(id, end);
+      return id;
+    };
+    Outcome o;
+    const obs::SpanId job =
+        s.open("job", obs::SpanCategory::Control, 0, 0, "master", -1, /*trace_id=*/42);
+    const obs::SpanId stage = s.open("stage", obs::SpanCategory::Control, job, 1, "master", -1);
+    s.close(stage, 5);
+    o.ids = {job, stage};
+    o.ids.push_back(one_shot("wait:root", obs::SpanCategory::Wait, 0, 2, 3, "node0/slots", 0));
+    o.ids.push_back(
+        one_shot("block:send", obs::SpanCategory::Shuffle, job, 3, 9, "node1/shuffle", 1));
+    o.ids.push_back(
+        one_shot("spill:write", obs::SpanCategory::Spill, stage, 6, 8, "node3/dfs", 3));
+    o.ids.push_back(s.open("after", obs::SpanCategory::Kernel, o.ids.back(), 9, "gpu0", 1));
+    s.close(o.ids.back(), 12);
+    s.close(job, 20);
+    const obs::Json dump = fr.to_json();
+    for (const obs::Json& n : dump.find("nodes")->items()) {
+      for (const obs::Json& span : n.find("spans")->items()) {
+        const auto id = static_cast<obs::SpanId>(span.find("id")->as_int());
+        if (id >= o.ids[2] && id <= o.ids[4]) {
+          o.trace_ids.push_back(static_cast<std::uint64_t>(span.find("trace_id")->as_int()));
+        }
+      }
+    }
+    obs::MetricsRegistry m;
+    s.export_metrics(m);
+    for (std::size_t c = 0; c < obs::kSpanCategories; ++c) {
+      o.category_ns.push_back(m.counter_value(
+          "trace_span_ns_total",
+          {{"category", obs::span_category_name(static_cast<obs::SpanCategory>(c))}}));
+    }
+    obs::Json retained = obs::Json::array();
+    for (const auto& span : s.spans()) retained.push_back(span.to_json());
+    o.retained = retained.dump();
+    o.flight = dump.dump();
+    return o;
+  };
+  for (const bool retain : {true, false}) {
+    const Outcome rec = build(/*use_record=*/true, retain);
+    const Outcome ref = build(/*use_record=*/false, retain);
+    EXPECT_EQ(rec.ids, ref.ids) << "retain " << retain;
+    EXPECT_EQ(rec.trace_ids, ref.trace_ids) << "retain " << retain;
+    EXPECT_EQ(rec.category_ns, ref.category_ns) << "retain " << retain;
+    EXPECT_EQ(rec.retained, ref.retained) << "retain " << retain;
+    EXPECT_EQ(rec.flight, ref.flight) << "retain " << retain;
+    // Flight nodes come in id order: root (node 0), open parent (node 1),
+    // closed parent (node 3). A retained closed parent passes its trace id
+    // on; a dropped one leaves 0.
+    const std::vector<std::uint64_t> expected = {0, 42, retain ? 42u : 0u};
+    EXPECT_EQ(rec.trace_ids, expected) << "retain " << retain;
+  }
+}
+
 TEST(ChromeTrace, FlowEventsFollowSpanLinks) {
   sim::Tracer t(true);
   t.record("node1/cpu", "work", 0, 1000);
@@ -482,6 +560,97 @@ TEST(FlightRecorder, RingsAreBoundedAndDumpRoundTrips) {
   EXPECT_TRUE(saw_node1);
   EXPECT_TRUE(saw_fault);
   std::remove(path.c_str());
+}
+
+namespace {
+
+/// The flight dump as the per-node std::deque rings produced it: spans and
+/// events each keep the newest `capacity` per node, nodes in id order over
+/// the union of both, rings oldest-first.
+std::string deque_reference_dump(std::size_t capacity,
+                                 const std::vector<obs::CausalSpan>& spans,
+                                 const std::vector<obs::FlightEvent>& events) {
+  std::map<int, std::deque<obs::CausalSpan>> span_rings;
+  std::map<int, std::deque<obs::FlightEvent>> event_rings;
+  for (const auto& s : spans) {
+    auto& ring = span_rings[s.node];
+    ring.push_back(s);
+    while (ring.size() > capacity) ring.pop_front();
+  }
+  for (const auto& e : events) {
+    auto& ring = event_rings[e.node];
+    ring.push_back(e);
+    while (ring.size() > capacity) ring.pop_front();
+  }
+  std::map<int, std::pair<Json, Json>> by_node;
+  for (const auto& [node, ring] : span_rings) {
+    auto& entry = by_node[node];
+    entry.first = Json::array();
+    for (const auto& s : ring) entry.first.push_back(s.to_json());
+  }
+  for (const auto& [node, ring] : event_rings) {
+    auto& entry = by_node[node];
+    entry.second = Json::array();
+    for (const auto& e : ring) entry.second.push_back(e.to_json());
+  }
+  Json root = Json::object();
+  root["schema"] = "gflink.flight_dump/v1";
+  root["ring_capacity"] = static_cast<std::uint64_t>(capacity);
+  root["spans_seen"] = static_cast<std::uint64_t>(spans.size());
+  root["events_seen"] = static_cast<std::uint64_t>(events.size());
+  root["faults"] = std::uint64_t{0};
+  Json nodes = Json::array();
+  for (auto& [node, entry] : by_node) {
+    Json n = Json::object();
+    n["node"] = node;
+    n["spans"] = entry.first.is_null() ? Json::array() : std::move(entry.first);
+    n["events"] = entry.second.is_null() ? Json::array() : std::move(entry.second);
+    nodes.push_back(std::move(n));
+  }
+  root["nodes"] = std::move(nodes);
+  return root.dump();
+}
+
+}  // namespace
+
+TEST(FlightRecorder, DumpMatchesDequeReference) {
+  // More spans than the capacity on nodes -1, 0 and 3, interleaved, with
+  // names, lanes and notes of varying length (slots are overwritten in
+  // place, so a long string must not leak into a later short one); events
+  // only on node 7.
+  std::vector<obs::CausalSpan> spans;
+  const int nodes[] = {3, -1, 0, 3, 3, 0, -1};
+  for (int i = 0; i < 23; ++i) {
+    obs::CausalSpan s;
+    s.id = static_cast<obs::SpanId>(i + 1);
+    s.parent = i % 3 == 0 ? 0 : static_cast<obs::SpanId>(i);
+    s.trace_id = static_cast<std::uint64_t>(i % 2);
+    s.name = i % 4 == 0 ? "block:send:" + std::string(40, static_cast<char>('a' + i % 26)) : "t";
+    s.category = static_cast<obs::SpanCategory>(i % obs::kSpanCategories);
+    s.begin = i * 10;
+    s.end = i * 10 + 3 + i % 5;
+    s.lane = i % 3 == 0 ? "" : "node" + std::to_string(i) + "/a-fairly-long-lane-name";
+    s.node = nodes[i % 7];
+    if (i % 5 == 0) s.notes.emplace_back("k" + std::to_string(i), std::string(30, 'v'));
+    spans.push_back(std::move(s));
+  }
+  std::vector<obs::FlightEvent> events;
+  for (int i = 0; i < 6; ++i) {
+    events.push_back(obs::FlightEvent{i * 7, 7, "evict", "event " + std::to_string(i)});
+  }
+  for (const std::size_t capacity : {std::size_t{4}, std::size_t{0}}) {
+    obs::FlightRecorder fr(capacity);
+    for (const auto& s : spans) fr.on_span_closed(s);
+    for (const auto& e : events) fr.note_event(e.at, e.node, e.kind, e.detail);
+    EXPECT_EQ(fr.to_json().dump(), deque_reference_dump(capacity, spans, events))
+        << "capacity " << capacity;
+  }
+  obs::FlightRecorder empty_rings(0);
+  for (const auto& s : spans) empty_rings.on_span_closed(s);
+  const Json dump = empty_rings.to_json();
+  for (const Json& n : dump.find("nodes")->items()) {
+    EXPECT_EQ(n.find("spans")->size(), 0u);  // capacity 0 keeps no spans
+  }
 }
 
 TEST(FlightRecorder, FirstFaultAutoDumps) {

@@ -69,7 +69,9 @@ core::StreamOp identity_map(double flops = 100.0) {
   op.name = "identity";
   op.out_desc = &ev_desc();
   op.cost = df::OpCost{flops, 2.0 * sizeof(Ev)};
-  op.map_fn = [](const std::byte* rec, df::Emitter& out) { out.emit_raw(rec); };
+  op.map_fn = [](const mem::RecordBatch& in, mem::RecordBatch& out) {
+    out.append_raw(in.record_ptr(0), in.count());
+  };
   return op;
 }
 
@@ -219,9 +221,9 @@ TEST(Streaming, WindowSumsAreExact) {
   auto total = std::make_shared<std::int64_t>(0);
   core::StreamOp probe = identity_map(1.0);
   probe.name = "probe";
-  probe.map_fn = [total](const std::byte* rec, df::Emitter& out) {
-    *total += reinterpret_cast<const Ev*>(rec)->value;
-    out.emit_raw(rec);
+  probe.map_fn = [total](const mem::RecordBatch& in, mem::RecordBatch& out) {
+    *total += reinterpret_cast<const Ev*>(in.record_ptr(0))->value;
+    out.append_raw(in.record_ptr(0));
   };
 
   auto r = run_pipeline(e, {window, probe}, cfg);
