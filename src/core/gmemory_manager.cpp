@@ -18,34 +18,31 @@ const GMemoryManager::Region* GMemoryManager::find_region(int device, std::uint6
 
 std::optional<GMemoryManager::CacheEntry> GMemoryManager::lookup(int device, std::uint64_t job,
                                                                  std::uint64_t key) const {
-  core::MutexLock lock(mu_);
   const Region* r = find_region(device, job);
   if (r == nullptr) return std::nullopt;
   auto it = r->table.find(key);
   if (it == r->table.end()) return std::nullopt;
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   return it->second.entry;
 }
 
 std::optional<GMemoryManager::CacheEntry> GMemoryManager::lookup_pinned(int device,
                                                                         std::uint64_t job,
                                                                         std::uint64_t key) {
-  core::MutexLock lock(mu_);
   Region* r = find_region(device, job);
   if (r == nullptr) return std::nullopt;
   auto it = r->table.find(key);
   if (it == r->table.end()) return std::nullopt;
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   ++it->second.pins;
-  pins_.fetch_add(1, std::memory_order_relaxed);
+  ++pins_;
   return it->second.entry;
 }
 
 std::optional<GMemoryManager::CacheEntry> GMemoryManager::insert(int device, std::uint64_t job,
                                                                  std::uint64_t key,
                                                                  std::uint64_t bytes) {
-  core::MutexLock lock(mu_);
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   if (bytes > region_capacity_) return std::nullopt;  // can never fit
   auto& jobs = regions_.at(static_cast<std::size_t>(device));
   Region& r = jobs[job];  // region lazily "reserved" on first touch
@@ -76,7 +73,7 @@ std::optional<GMemoryManager::CacheEntry> GMemoryManager::insert(int device, std
     }
     if (r.used - reclaimable + bytes > region_capacity_) return std::nullopt;
     for (std::uint64_t victim : victims) {
-      evict_slot_locked(device, r, victim);
+      evict_slot(device, r, victim);
     }
   }
 
@@ -84,11 +81,11 @@ std::optional<GMemoryManager::CacheEntry> GMemoryManager::insert(int device, std
   // quota by first shrinking that tenant's own cache (globally-oldest
   // unpinned entry across its jobs). Declines when the tenant's pinned
   // working set already fills the quota.
-  const std::string tenant = tenant_of_locked(job);
+  const std::string tenant = tenant_of(job);
   if (auto q = tenant_quota_.find(tenant); q != tenant_quota_.end() && q->second > 0) {
     if (bytes > q->second) return std::nullopt;  // can never fit in quota
-    while (tenant_used_locked(device, tenant) + bytes > q->second) {
-      if (!evict_tenant_oldest_locked(device, tenant)) return std::nullopt;
+    while (tenant_cached_bytes(device, tenant) + bytes > q->second) {
+      if (!evict_tenant_oldest(device, tenant)) return std::nullopt;
     }
   }
 
@@ -97,7 +94,7 @@ std::optional<GMemoryManager::CacheEntry> GMemoryManager::insert(int device, std
     // Device OOM outside the region model: prefer over-quota tenants'
     // entries, then the requester's own tenant; an under-quota peer is
     // never the victim while either of those can give space back.
-    if (!evict_over_quota_locked(device) && !evict_tenant_oldest_locked(device, tenant)) {
+    if (!evict_over_quota(device) && !evict_tenant_oldest(device, tenant)) {
       return std::nullopt;
     }
     ptr = dev.memory().allocate(bytes);
@@ -106,7 +103,7 @@ std::optional<GMemoryManager::CacheEntry> GMemoryManager::insert(int device, std
   slot.entry = CacheEntry{ptr, bytes};
   slot.pins = 1;  // returned pinned for the inserting GWork
   slot.seq = next_seq_++;
-  pins_.fetch_add(1, std::memory_order_relaxed);
+  ++pins_;
   r.table.emplace(key, slot);
   r.fifo.push_back(key);
   r.used += bytes;
@@ -115,7 +112,6 @@ std::optional<GMemoryManager::CacheEntry> GMemoryManager::insert(int device, std
 }
 
 void GMemoryManager::unpin(int device, std::uint64_t job, std::uint64_t key) {
-  core::MutexLock lock(mu_);
   Region* r = find_region(device, job);
   if (r == nullptr) return;  // job already released
   auto it = r->table.find(key);
@@ -125,7 +121,6 @@ void GMemoryManager::unpin(int device, std::uint64_t job, std::uint64_t key) {
 }
 
 bool GMemoryManager::erase(int device, std::uint64_t job, std::uint64_t key) {
-  core::MutexLock lock(mu_);
   Region* r = find_region(device, job);
   if (r == nullptr) return false;
   auto it = r->table.find(key);
@@ -141,11 +136,6 @@ bool GMemoryManager::erase(int device, std::uint64_t job, std::uint64_t key) {
 }
 
 bool GMemoryManager::evict_for_space(int device, std::uint64_t job, std::uint64_t bytes) {
-  core::MutexLock lock(mu_);
-  return evict_for_space_locked(device, job, bytes);
-}
-
-bool GMemoryManager::evict_for_space_locked(int device, std::uint64_t job, std::uint64_t bytes) {
   // Contiguity-aware: free_bytes() can exceed `bytes` while no single hole
   // fits (the fragmented-heap case); keep evicting until a hole does.
   // Victim order: the requesting job's own FIFO-oldest unpinned entries
@@ -160,18 +150,18 @@ bool GMemoryManager::evict_for_space_locked(int device, std::uint64_t job, std::
         auto slot = r->table.find(*it);
         GFLINK_CHECK(slot != r->table.end());
         if (slot->second.pins == 0) {
-          evict_slot_locked(device, *r, *it);
+          evict_slot(device, *r, *it);
           evicted = true;
           break;
         }
       }
     }
-    if (!evicted && !evict_over_quota_locked(device)) break;  // nothing evictable
+    if (!evicted && !evict_over_quota(device)) break;  // nothing evictable
   }
   return dev.memory().can_allocate(bytes);
 }
 
-void GMemoryManager::evict_slot_locked(int device, Region& r, std::uint64_t key) {
+void GMemoryManager::evict_slot(int device, Region& r, std::uint64_t key) {
   auto it = r.table.find(key);
   GFLINK_CHECK(it != r.table.end());
   GFLINK_CHECK_MSG(it->second.pins == 0, "evicting a pinned cache entry");
@@ -180,29 +170,29 @@ void GMemoryManager::evict_slot_locked(int device, Region& r, std::uint64_t key)
   r.used -= it->second.entry.bytes;
   r.table.erase(it);
   std::erase(r.fifo, key);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
+  ++evictions_;
 }
 
-std::string GMemoryManager::tenant_of_locked(std::uint64_t job) const {
+std::string GMemoryManager::tenant_of(std::uint64_t job) const {
   auto it = job_tenant_.find(job);
   return it == job_tenant_.end() ? std::string() : it->second;
 }
 
-std::uint64_t GMemoryManager::tenant_used_locked(int device, const std::string& tenant) const {
+std::uint64_t GMemoryManager::tenant_cached_bytes(int device, const std::string& tenant) const {
   std::uint64_t used = 0;
   for (const auto& [job, region] : regions_.at(static_cast<std::size_t>(device))) {
-    if (tenant_of_locked(job) == tenant) used += region.used;
+    if (tenant_of(job) == tenant) used += region.used;
   }
   return used;
 }
 
-bool GMemoryManager::evict_tenant_oldest_locked(int device, const std::string& tenant) {
+bool GMemoryManager::evict_tenant_oldest(int device, const std::string& tenant) {
   auto& jobs = regions_.at(static_cast<std::size_t>(device));
   Region* victim_region = nullptr;
   std::uint64_t victim_key = 0;
   std::uint64_t victim_seq = ~0ULL;
   for (auto& [job, region] : jobs) {
-    if (tenant_of_locked(job) != tenant) continue;
+    if (tenant_of(job) != tenant) continue;
     for (const auto& [key, slot] : region.table) {
       if (slot.pins > 0) continue;
       if (slot.seq < victim_seq) {
@@ -213,11 +203,11 @@ bool GMemoryManager::evict_tenant_oldest_locked(int device, const std::string& t
     }
   }
   if (victim_region == nullptr) return false;
-  evict_slot_locked(device, *victim_region, victim_key);
+  evict_slot(device, *victim_region, victim_key);
   return true;
 }
 
-bool GMemoryManager::evict_over_quota_locked(int device) {
+bool GMemoryManager::evict_over_quota(int device) {
   // Victim tenant: the one furthest over its quota that still has an
   // unpinned entry on this device. Tenants without a quota (including the
   // default "") are never cross-tenant victims.
@@ -226,50 +216,47 @@ bool GMemoryManager::evict_over_quota_locked(int device) {
   std::uint64_t best_overage = 0;
   for (const auto& [tenant, quota] : tenant_quota_) {
     if (quota == 0) continue;
-    const std::uint64_t used = tenant_used_locked(device, tenant);
+    const std::uint64_t used = tenant_cached_bytes(device, tenant);
     if (used <= quota) continue;
     const std::uint64_t overage = used - quota;
-    if ((!found || overage > best_overage) && has_unpinned_locked(device, tenant)) {
+    if ((!found || overage > best_overage) && has_unpinned(device, tenant)) {
       found = true;
       best_overage = overage;
       victim = tenant;
     }
   }
   if (!found) return false;
-  const bool evicted = evict_tenant_oldest_locked(device, victim);
+  const bool evicted = evict_tenant_oldest(device, victim);
   GFLINK_CHECK(evicted);
-  cross_tenant_evictions_.fetch_add(1, std::memory_order_relaxed);
+  ++cross_tenant_evictions_;
   note_flight("cross_tenant_evict", device, 0);
   return true;
 }
 
 gpu::DevicePtr GMemoryManager::reserve_staging(int device, std::uint64_t job,
                                                std::uint64_t bytes) {
-  core::MutexLock lock(mu_);
   gpu::GpuDevice& dev = *devices_.at(static_cast<std::size_t>(device));
   gpu::DevicePtr ptr = dev.memory().allocate(bytes);
-  if (ptr == 0 && evict_for_space_locked(device, job, bytes)) {
+  if (ptr == 0 && evict_for_space(device, job, bytes)) {
     ptr = dev.memory().allocate(bytes);
   }
   if (ptr == 0) {
-    staging_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++staging_failures_;
     note_flight("staging_failure", device, bytes);
     return 0;
   }
-  staging_reservations_.fetch_add(1, std::memory_order_relaxed);
+  ++staging_reservations_;
   staging_bytes_.at(static_cast<std::size_t>(device)) += dev.memory().allocation_size(ptr);
   return ptr;
 }
 
 void GMemoryManager::release_staging(int device, gpu::DevicePtr ptr) {
-  core::MutexLock lock(mu_);
   gpu::GpuDevice& dev = *devices_.at(static_cast<std::size_t>(device));
   staging_bytes_.at(static_cast<std::size_t>(device)) -= dev.memory().allocation_size(ptr);
   dev.memory().free(ptr);
 }
 
 void GMemoryManager::release_job(std::uint64_t job) {
-  core::MutexLock lock(mu_);
   for (std::size_t d = 0; d < regions_.size(); ++d) {
     auto it = regions_[d].find(job);
     if (it == regions_[d].end()) continue;
@@ -281,9 +268,9 @@ void GMemoryManager::release_job(std::uint64_t job) {
   job_tenant_.erase(job);
 }
 
-bool GMemoryManager::has_unpinned_locked(int device, const std::string& tenant) const {
+bool GMemoryManager::has_unpinned(int device, const std::string& tenant) const {
   for (const auto& [job, region] : regions_.at(static_cast<std::size_t>(device))) {
-    if (tenant_of_locked(job) != tenant) continue;
+    if (tenant_of(job) != tenant) continue;
     for (const auto& [key, slot] : region.table) {
       if (slot.pins == 0) return true;
     }
@@ -292,12 +279,10 @@ bool GMemoryManager::has_unpinned_locked(int device, const std::string& tenant) 
 }
 
 void GMemoryManager::set_job_tenant(std::uint64_t job, const std::string& tenant) {
-  core::MutexLock lock(mu_);
   job_tenant_[job] = tenant;
 }
 
 void GMemoryManager::set_tenant_quota(const std::string& tenant, std::uint64_t bytes) {
-  core::MutexLock lock(mu_);
   if (bytes == 0) {
     tenant_quota_.erase(tenant);
   } else {
@@ -305,23 +290,12 @@ void GMemoryManager::set_tenant_quota(const std::string& tenant, std::uint64_t b
   }
 }
 
-std::uint64_t GMemoryManager::tenant_cached_bytes(int device, const std::string& tenant) const {
-  core::MutexLock lock(mu_);
-  return tenant_used_locked(device, tenant);
-}
-
 std::uint64_t GMemoryManager::tenant_inserted_bytes(const std::string& tenant) const {
-  core::MutexLock lock(mu_);
   auto it = tenant_inserted_.find(tenant);
   return it == tenant_inserted_.end() ? 0 : it->second;
 }
 
 std::uint64_t GMemoryManager::cached_input_bytes(int device, const GWork& work) const {
-  core::MutexLock lock(mu_);
-  return cached_input_bytes_locked(device, work);
-}
-
-std::uint64_t GMemoryManager::cached_input_bytes_locked(int device, const GWork& work) const {
   const Region* r = find_region(device, work.job_id);
   if (r == nullptr) return 0;
   std::uint64_t total = 0;
@@ -334,13 +308,10 @@ std::uint64_t GMemoryManager::cached_input_bytes_locked(int device, const GWork&
 }
 
 int GMemoryManager::best_device_for(const GWork& work) const {
-  // One lock for the whole scan so the answer is a consistent snapshot
-  // across devices.
-  core::MutexLock lock(mu_);
   int best = -1;
   std::uint64_t best_bytes = 0;
   for (int d = 0; d < num_devices(); ++d) {
-    const std::uint64_t bytes = cached_input_bytes_locked(d, work);
+    const std::uint64_t bytes = cached_input_bytes(d, work);
     if (bytes > best_bytes) {
       best_bytes = bytes;
       best = d;
@@ -350,7 +321,6 @@ int GMemoryManager::best_device_for(const GWork& work) const {
 }
 
 std::uint64_t GMemoryManager::cached_bytes(int device, std::uint64_t job) const {
-  core::MutexLock lock(mu_);
   const Region* r = find_region(device, job);
   return r == nullptr ? 0 : r->used;
 }

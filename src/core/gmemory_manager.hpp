@@ -15,7 +15,6 @@
 //    cached bytes of a GWork's inputs.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <optional>
 #include <string>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "core/gwork.hpp"
-#include "core/thread_annotations.hpp"
 #include "gpu/device.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/simulation.hpp"
@@ -46,10 +44,7 @@ class GMemoryManager {
 
   /// Attach the node's flight recorder: cache evictions and staging-ring
   /// failures become flight events (memory pressure is the usual suspect
-  /// when a fault dump is being read). `sim` supplies the clock; the
-  /// recorder's mutex is a leaf in the lock hierarchy (and the recorder
-  /// acquires nothing else while holding it), so noting events under mu_
-  /// (rank 1) is safe.
+  /// when a fault dump is being read). `sim` supplies the clock.
   void attach_flight(obs::FlightRecorder* flight, int node, sim::Simulation* sim) {
     flight_ = flight;
     flight_node_ = node;
@@ -126,9 +121,7 @@ class GMemoryManager {
   std::uint64_t tenant_inserted_bytes(const std::string& tenant) const;
 
   /// Entries evicted from one tenant to relieve another's device pressure.
-  std::uint64_t cross_tenant_evictions() const {
-    return cross_tenant_evictions_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t cross_tenant_evictions() const { return cross_tenant_evictions_; }
 
   /// Reserve a device staging ring for the chunked transfer/compute
   /// pipeline: a transient allocation that coexists with the cache regions
@@ -142,7 +135,6 @@ class GMemoryManager {
 
   /// Bytes currently reserved as staging rings on `device`.
   std::uint64_t staging_bytes(int device) const {
-    core::MutexLock lock(mu_);
     return staging_bytes_.empty() ? 0 : staging_bytes_.at(static_cast<std::size_t>(device));
   }
 
@@ -153,22 +145,16 @@ class GMemoryManager {
   /// Bytes of `work`'s inputs already cached on `device`.
   std::uint64_t cached_input_bytes(int device, const GWork& work) const;
 
-  // Statistics. Monotonic counters are relaxed atomics so readers (metric
-  // export) never contend with the table mutex.
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  std::uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
-  std::uint64_t pins() const { return pins_.load(std::memory_order_relaxed); }
-  std::uint64_t staging_reservations() const {
-    return staging_reservations_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t staging_failures() const {
-    return staging_failures_.load(std::memory_order_relaxed);
-  }
+  // Statistics.
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t pins() const { return pins_; }
+  std::uint64_t staging_reservations() const { return staging_reservations_; }
+  std::uint64_t staging_failures() const { return staging_failures_; }
   std::uint64_t cached_bytes(int device, std::uint64_t job) const;
   /// Bytes currently occupied by cache regions on `device`, across jobs.
   std::uint64_t region_used(int device) const {
-    core::MutexLock lock(mu_);
     std::uint64_t used = 0;
     for (const auto& [job, region] : regions_.at(static_cast<std::size_t>(device))) {
       used += region.used;
@@ -193,25 +179,19 @@ class GMemoryManager {
   // Per-device map: job id -> region.
   using JobRegions = std::unordered_map<std::uint64_t, Region>;
 
-  Region* find_region(int device, std::uint64_t job) GFLINK_REQUIRES(mu_);
-  const Region* find_region(int device, std::uint64_t job) const GFLINK_REQUIRES(mu_);
-  bool evict_for_space_locked(int device, std::uint64_t job, std::uint64_t bytes)
-      GFLINK_REQUIRES(mu_);
-  std::uint64_t cached_input_bytes_locked(int device, const GWork& work) const
-      GFLINK_REQUIRES(mu_);
-  std::string tenant_of_locked(std::uint64_t job) const GFLINK_REQUIRES(mu_);
-  std::uint64_t tenant_used_locked(int device, const std::string& tenant) const
-      GFLINK_REQUIRES(mu_);
+  Region* find_region(int device, std::uint64_t job);
+  const Region* find_region(int device, std::uint64_t job) const;
+  std::string tenant_of(std::uint64_t job) const;
   /// Evict `tenant`'s globally-oldest unpinned entry on `device` (any of
   /// its jobs). False when the tenant has nothing evictable there.
-  bool evict_tenant_oldest_locked(int device, const std::string& tenant) GFLINK_REQUIRES(mu_);
-  bool has_unpinned_locked(int device, const std::string& tenant) const GFLINK_REQUIRES(mu_);
+  bool evict_tenant_oldest(int device, const std::string& tenant);
+  bool has_unpinned(int device, const std::string& tenant) const;
   /// Cross-tenant relief: evict the oldest unpinned entry of the *most
   /// over-quota* tenant on `device`. False when no over-quota tenant has an
   /// evictable entry — callers must then fall back to self-eviction or give
   /// up, never take an under-quota tenant's entry.
-  bool evict_over_quota_locked(int device) GFLINK_REQUIRES(mu_);
-  void evict_slot_locked(int device, Region& r, std::uint64_t key) GFLINK_REQUIRES(mu_);
+  bool evict_over_quota(int device);
+  void evict_slot(int device, Region& r, std::uint64_t key);
 
   void note_flight(const char* what, int device, std::uint64_t bytes) const {
     if (flight_ == nullptr || flight_sim_ == nullptr) return;
@@ -223,27 +203,23 @@ class GMemoryManager {
   std::vector<gpu::GpuDevice*> devices_;
   std::uint64_t region_capacity_;
   CachePolicy policy_;
-  // Flight hook (host-plane, leaf-locked; see attach_flight()).
+  // Flight hook (see attach_flight()).
   obs::FlightRecorder* flight_ = nullptr;
   int flight_node_ = -1;
   sim::Simulation* flight_sim_ = nullptr;
-  /// Guards the region tables and the staging accounting. Lock order:
-  /// GMemoryManager::mu_ is acquired *before* DeviceMemory::mu_ —
-  /// insert/evict/staging call dev.memory().allocate/free while held.
-  mutable core::Mutex mu_;
-  std::vector<JobRegions> regions_ GFLINK_GUARDED_BY(mu_);
-  std::vector<std::uint64_t> staging_bytes_ GFLINK_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::string> job_tenant_ GFLINK_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::uint64_t> tenant_quota_ GFLINK_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::uint64_t> tenant_inserted_ GFLINK_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ GFLINK_GUARDED_BY(mu_) = 0;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> pins_{0};
-  std::atomic<std::uint64_t> staging_reservations_{0};
-  std::atomic<std::uint64_t> staging_failures_{0};
-  std::atomic<std::uint64_t> cross_tenant_evictions_{0};
+  std::vector<JobRegions> regions_;
+  std::vector<std::uint64_t> staging_bytes_;
+  std::unordered_map<std::uint64_t, std::string> job_tenant_;
+  std::unordered_map<std::string, std::uint64_t> tenant_quota_;
+  std::unordered_map<std::string, std::uint64_t> tenant_inserted_;
+  std::uint64_t next_seq_ = 0;
+  mutable std::uint64_t hits_ = 0;  // lookup() is const but counts hits
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t pins_ = 0;
+  std::uint64_t staging_reservations_ = 0;
+  std::uint64_t staging_failures_ = 0;
+  std::uint64_t cross_tenant_evictions_ = 0;
 };
 
 }  // namespace gflink::core

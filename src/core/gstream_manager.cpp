@@ -131,7 +131,7 @@ GStreamManager::GStreamManager(sim::Simulation& sim, std::vector<gpu::CudaWrappe
     latency_hist_ = &registry->histogram("gwork_latency_ns", 0.0, 5.0e7, 100);
   }
   pool_.resize(wrappers_.size());
-  executed_ = std::vector<std::atomic<std::uint64_t>>(wrappers_.size());
+  executed_.assign(wrappers_.size(), 0);
   bulks_.resize(wrappers_.size());
   for (std::size_t g = 0; g < wrappers_.size(); ++g) {
     for (int s = 0; s < config_.streams_per_gpu; ++s) {
@@ -191,7 +191,7 @@ GStreamManager::StreamWorker* GStreamManager::select_stream(int preferred_gpu) {
     if (StreamWorker* w = idle_stream_in_bulk(preferred_gpu)) return w;
     const int most_idle = bulk_with_most_idle();
     if (most_idle >= 0) {
-      cross_bulk_.fetch_add(1, std::memory_order_relaxed);
+      ++cross_bulk_;
       return idle_stream_in_bulk(most_idle);
     }
     return nullptr;
@@ -245,7 +245,7 @@ GWorkPtr GStreamManager::pop_best(std::deque<GWorkPtr>& q) {
   for (auto it = std::next(q.begin()); it != q.end(); ++it) {
     if ((*it)->priority > (*best)->priority) best = it;  // FIFO within one priority
   }
-  if (best != q.begin()) priority_bypasses_.fetch_add(1, std::memory_order_relaxed);
+  if (best != q.begin()) ++priority_bypasses_;
   GWorkPtr w = *best;
   q.erase(best);
   return w;
@@ -265,7 +265,7 @@ GWorkPtr GStreamManager::steal(int gpu) {
   }
   if (depth == 0) return nullptr;
   GWorkPtr w = pop_best(pool_[longest]);
-  steals_.fetch_add(1, std::memory_order_relaxed);
+  ++steals_;
   w->was_stolen = true;
   return w;
 }
@@ -303,7 +303,7 @@ sim::Co<void> GStreamManager::worker_loop(StreamWorker* w) {
       // Timed out: free the thread.
       w->idle = false;
       w->freed = true;
-      freed_count_.fetch_add(1, std::memory_order_relaxed);
+      ++freed_count_;
       co_return;
     }
     w->idle = false;
@@ -363,7 +363,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
   const gpu::DevicePtr ring =
       memory_->reserve_staging(gpu_index, work->job_id, slot_stride * depth);
   if (ring == 0) {
-    stage_h2d_ns_.fetch_add(sim_->now() - stage1_begin, std::memory_order_relaxed);
+    stage_h2d_ns_ += sim_->now() - stage1_begin;
     co_return false;
   }
 
@@ -450,7 +450,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     }
     co_await sim_->delay(api.jni_overhead() + api.stub().overheads().free_cost);
     memory_->release_staging(gpu_index, ring);
-    stage_h2d_ns_.fetch_add(sim_->now() - stage1_begin, std::memory_order_relaxed);
+    stage_h2d_ns_ += sim_->now() - stage1_begin;
     co_return false;
   }
 
@@ -485,7 +485,7 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     lane += b.stride * plan.items_per_chunk;
   }
   GFLINK_CHECK(lane <= slot_stride);
-  stage_h2d_ns_.fetch_add(sim_->now() - stage1_begin, std::memory_order_relaxed);
+  stage_h2d_ns_ += sim_->now() - stage1_begin;
 
   // The pipeline: one coroutine per chunk, admitted by the free-slot channel
   // (depth = staging slots). Engine mutexes are FIFO, so chunks proceed in
@@ -503,9 +503,9 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
     sim_->spawn(run_chunk(ctx, c));
   }
   co_await wg.wait();
-  stage_h2d_ns_.fetch_add(ctx.h2d_ns, std::memory_order_relaxed);
-  stage_kernel_ns_.fetch_add(ctx.kernel_ns, std::memory_order_relaxed);
-  stage_d2h_ns_.fetch_add(ctx.d2h_ns, std::memory_order_relaxed);
+  stage_h2d_ns_ += ctx.h2d_ns;
+  stage_kernel_ns_ += ctx.kernel_ns;
+  stage_d2h_ns_ += ctx.d2h_ns;
 
   const sim::Time teardown_begin = sim_->now();
   co_await sim_->delay(api.jni_overhead() + api.stub().overheads().free_cost);
@@ -516,10 +516,10 @@ sim::Co<bool> GStreamManager::execute_chunked(StreamWorker* w, const GWorkPtr& w
   for (std::uint64_t key : pinned_keys) {
     memory_->unpin(gpu_index, work->job_id, key);
   }
-  stage_d2h_ns_.fetch_add(sim_->now() - teardown_begin, std::memory_order_relaxed);
+  stage_d2h_ns_ += sim_->now() - teardown_begin;
 
-  chunked_works_.fetch_add(1, std::memory_order_relaxed);
-  chunks_total_.fetch_add(plan.num_chunks, std::memory_order_relaxed);
+  ++chunked_works_;
+  chunks_total_ += plan.num_chunks;
   work->executed_chunks = plan.num_chunks;
   if (spans_ != nullptr) {
     spans_->annotate(gspan, "chunks", std::to_string(plan.num_chunks));
@@ -548,7 +548,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
       if (spans_ != nullptr) spans_->close(gspan, sim_->now());
       co_return;
     }
-    chunk_fallbacks_.fetch_add(1, std::memory_order_relaxed);  // ring unavailable: monolithic fallback below
+    ++chunk_fallbacks_;  // ring unavailable: monolithic fallback below
     if (spans_ != nullptr) spans_->annotate(gspan, "chunk_fallback", "staging ring unavailable");
   }
 
@@ -569,7 +569,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
     const sim::Time kernel_begin = sim_->now();
     co_await api.device().launch_mapped(kernel, std::move(spans), work->size, work->layout,
                                         work->execute_name);
-    stage_kernel_ns_.fetch_add(sim_->now() - kernel_begin, std::memory_order_relaxed);
+    stage_kernel_ns_ += sim_->now() - kernel_begin;
     if (spans_ != nullptr) {
       spans_->record("kernel", obs::SpanCategory::Kernel, gspan, kernel_begin, sim_->now(),
                      gpu_lane(gpu_index), node_id_);
@@ -668,7 +668,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
     bindings.clear();
     input_needs_transfer.clear();
     GFLINK_CHECK_MSG(attempt < 1000, "device OOM: GWork buffers never fit");
-    oom_retries_.fetch_add(1, std::memory_order_relaxed);
+    ++oom_retries_;
     ++oom_backoffs;
     // Exponential growth (capped at 1024x): the base is a config-scale
     // latency, but how long until concurrent works release their buffers
@@ -686,13 +686,13 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
 
   // Stage 2: kernel execution.
   const sim::Time stage2_begin = sim_->now();
-  stage_h2d_ns_.fetch_add(stage2_begin - stage1_begin, std::memory_order_relaxed);
+  stage_h2d_ns_ += stage2_begin - stage1_begin;
   co_await api.launch_kernel(work->execute_name, bindings, work->size, work->layout,
                              work->block_size, work->grid_size, work->params.get(), label);
 
   // Stage 3: D2H result transfers.
   const sim::Time stage3_begin = sim_->now();
-  stage_kernel_ns_.fetch_add(stage3_begin - stage2_begin, std::memory_order_relaxed);
+  stage_kernel_ns_ += stage3_begin - stage2_begin;
   std::size_t binding_index = work->inputs.size();
   for (auto& out : work->outputs) {
     co_await api.memcpy_d2h(*out.host, 0, bindings[binding_index].ptr, out.bytes, label);
@@ -705,7 +705,7 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
   for (std::uint64_t key : pinned_keys) {
     memory_->unpin(gpu_index, work->job_id, key);
   }
-  stage_d2h_ns_.fetch_add(sim_->now() - stage3_begin, std::memory_order_relaxed);
+  stage_d2h_ns_ += sim_->now() - stage3_begin;
 
   if (spans_ != nullptr) {
     const std::string lane = gpu_lane(gpu_index);
@@ -734,13 +734,13 @@ sim::Co<void> GStreamManager::execute(StreamWorker* w, const GWorkPtr& work) {
 }
 
 void GStreamManager::finish(const GWorkPtr& work, int gpu_index) {
-  executed_[static_cast<std::size_t>(gpu_index)].fetch_add(1, std::memory_order_relaxed);
+  ++executed_[static_cast<std::size_t>(gpu_index)];
   work->finished_at = sim_->now();
   if (work->preferred_gpu >= 0) {
     if (work->executed_on_gpu == work->preferred_gpu) {
-      locality_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++locality_hits_;
     } else {
-      locality_misses_.fetch_add(1, std::memory_order_relaxed);
+      ++locality_misses_;
     }
   }
   if (latency_hist_ != nullptr) {

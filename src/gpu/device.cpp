@@ -26,7 +26,6 @@ sim::Duration GpuDevice::dma_time(std::uint64_t bytes, bool pinned) const {
 
 void GpuDevice::mark_engine(bool copy, int delta) {
   const sim::Time now = sim_->now();
-  core::MutexLock lock(engines_mu_);
   if (active_copies_ > 0 && active_kernels_ > 0) overlap_ns_ += now - last_engine_mark_;
   last_engine_mark_ = now;
   (copy ? active_copies_ : active_kernels_) += delta;
@@ -40,7 +39,7 @@ double GpuDevice::overlap_efficiency() const {
 
 sim::Co<void> GpuDevice::dma(sim::Mutex& engine, const char* lane, std::uint64_t bytes,
                              bool pinned, bool off_heap, const std::string& label,
-                             std::atomic<sim::Duration>& busy) {
+                             sim::Duration& busy) {
   // JVM-heap buffers must first be staged into native memory — the copy the
   // paper's off-heap design eliminates (§4.1.2). It is a CPU memcpy, so it
   // does not occupy the DMA engine.
@@ -52,7 +51,7 @@ sim::Co<void> GpuDevice::dma(sim::Mutex& engine, const char* lane, std::uint64_t
   mark_engine(/*copy=*/true, +1);
   co_await sim_->delay(dma_time(bytes, pinned));
   mark_engine(/*copy=*/true, -1);
-  busy.fetch_add(sim_->now() - begin, std::memory_order_relaxed);
+  busy += sim_->now() - begin;
   if (tracer_) tracer_->record(id_ + "/" + lane, label, begin, sim_->now());
   engine.unlock();
 }
@@ -66,7 +65,7 @@ sim::Co<void> GpuDevice::copy_h2d(const mem::HBuffer& src, std::size_t src_offse
   // the copy before launching kernels on it).
   std::byte* shadow = memory_.shadow(dst, bytes);
   std::memcpy(shadow, src.data() + src_offset, bytes);
-  bytes_h2d_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_h2d_ += bytes;
   co_await dma(copy_a_, "h2d", bytes, src.pinned(), src.off_heap(), label, h2d_busy_);
 }
 
@@ -79,7 +78,7 @@ sim::Co<void> GpuDevice::copy_d2h(DevicePtr src, mem::HBuffer& dst, std::size_t 
   // only coherent once the DMA is done, and callers may inspect it then.
   const std::byte* shadow = memory_.shadow(src, bytes);
   std::memcpy(dst.data() + dst_offset, shadow, bytes);
-  bytes_d2h_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_d2h_ += bytes;
 }
 
 sim::Co<void> GpuDevice::launch(const Kernel& kernel, const std::vector<BufferBinding>& buffers,
@@ -107,8 +106,8 @@ sim::Co<void> GpuDevice::launch(const Kernel& kernel, const std::vector<BufferBi
   mark_engine(/*copy=*/false, +1);
   co_await sim_->delay(dur);
   mark_engine(/*copy=*/false, -1);
-  kernel_busy_.fetch_add(dur, std::memory_order_relaxed);
-  kernels_launched_.fetch_add(1, std::memory_order_relaxed);
+  kernel_busy_ += dur;
+  ++kernels_launched_;
   if (tracer_) {
     tracer_->record(id_ + "/kernel", label.empty() ? kernel.name : label, begin, sim_->now());
   }
@@ -142,8 +141,8 @@ sim::Co<void> GpuDevice::launch_mapped(const Kernel& kernel,
   mark_engine(/*copy=*/false, +1);
   co_await sim_->delay(dur);
   mark_engine(/*copy=*/false, -1);
-  kernel_busy_.fetch_add(dur, std::memory_order_relaxed);
-  kernels_launched_.fetch_add(1, std::memory_order_relaxed);
+  kernel_busy_ += dur;
+  ++kernels_launched_;
   if (tracer_) {
     tracer_->record(id_ + "/kernel", label.empty() ? kernel.name + "(mapped)" : label, begin,
                     sim_->now());

@@ -15,10 +15,8 @@
 // the engines being independent resources.
 #pragma once
 
-#include <atomic>
 #include <string>
 
-#include "core/thread_annotations.hpp"
 #include "gpu/device_memory.hpp"
 #include "gpu/device_spec.hpp"
 #include "gpu/kernel.hpp"
@@ -26,8 +24,6 @@
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
 #include "sim/trace.hpp"
-
-class Threading_DeviceOverlapAccounting_Test;  // tests/test_threading.cpp
 
 namespace gflink::gpu {
 
@@ -76,41 +72,28 @@ class GpuDevice {
                               std::size_t items, mem::Layout layout,
                               const std::string& label = {});
 
-  // Statistics. Byte/kernel/busy totals are relaxed atomics: independent
-  // monotonic counters bumped from concurrently-running stream coroutines.
-  std::uint64_t bytes_h2d() const { return bytes_h2d_.load(std::memory_order_relaxed); }
-  std::uint64_t bytes_d2h() const { return bytes_d2h_.load(std::memory_order_relaxed); }
-  std::uint64_t kernels_launched() const {
-    return kernels_launched_.load(std::memory_order_relaxed);
-  }
-  sim::Duration kernel_busy() const { return kernel_busy_.load(std::memory_order_relaxed); }
-  sim::Duration h2d_busy() const { return h2d_busy_.load(std::memory_order_relaxed); }
-  sim::Duration d2h_busy() const { return d2h_busy_.load(std::memory_order_relaxed); }
+  // Statistics.
+  std::uint64_t bytes_h2d() const { return bytes_h2d_; }
+  std::uint64_t bytes_d2h() const { return bytes_d2h_; }
+  std::uint64_t kernels_launched() const { return kernels_launched_; }
+  sim::Duration kernel_busy() const { return kernel_busy_; }
+  sim::Duration h2d_busy() const { return h2d_busy_; }
+  sim::Duration d2h_busy() const { return d2h_busy_; }
   /// Virtual time during which at least one copy engine and the compute
   /// engine were busy simultaneously — the time the chunked pipeline (and
   /// multi-stream execution) actually hides behind kernels.
-  sim::Duration copy_compute_overlap() const {
-    core::MutexLock lock(engines_mu_);
-    return overlap_ns_;
-  }
+  sim::Duration copy_compute_overlap() const { return overlap_ns_; }
   /// overlap / min(copy busy, kernel busy): 1.0 means every byte moved
   /// while a kernel ran (perfect hiding); 0 means fully serialized.
   double overlap_efficiency() const;
 
  private:
-  // The overlap stress test drives mark_engine() directly: the engines_mu_
-  // snapshot is the one piece of device state read by the host plane while
-  // the sim thread mutates it, and no public API reaches it off-plane.
-  friend class ::Threading_DeviceOverlapAccounting_Test;
-
   sim::Co<void> dma(sim::Mutex& engine, const char* lane, std::uint64_t bytes, bool pinned,
-                    bool off_heap, const std::string& label, std::atomic<sim::Duration>& busy);
+                    bool off_heap, const std::string& label, sim::Duration& busy);
 
   /// Engine-activity bookkeeping behind copy_compute_overlap(): called at
-  /// every busy-state transition of a copy or compute engine. The counts,
-  /// the mark time and the accrued overlap change together, so they fold
-  /// under one mutex rather than individual atomics.
-  void mark_engine(bool copy, int delta) GFLINK_EXCLUDES(engines_mu_);
+  /// every busy-state transition of a copy or compute engine.
+  void mark_engine(bool copy, int delta);
 
   sim::Simulation* sim_;
   std::string id_;
@@ -122,21 +105,19 @@ class GpuDevice {
   sim::Mutex copy_a_;  // H2D engine (and D2H when copy_engines == 1)
   sim::Mutex copy_b_;  // D2H engine (unused when copy_engines == 1)
 
-  std::atomic<std::uint64_t> bytes_h2d_{0};
-  std::atomic<std::uint64_t> bytes_d2h_{0};
-  std::atomic<std::uint64_t> kernels_launched_{0};
-  std::atomic<sim::Duration> kernel_busy_{0};
-  std::atomic<sim::Duration> h2d_busy_{0};
-  std::atomic<sim::Duration> d2h_busy_{0};
+  std::uint64_t bytes_h2d_ = 0;
+  std::uint64_t bytes_d2h_ = 0;
+  std::uint64_t kernels_launched_ = 0;
+  sim::Duration kernel_busy_ = 0;
+  sim::Duration h2d_busy_ = 0;
+  sim::Duration d2h_busy_ = 0;
 
   // Copy-compute overlap accounting: between transitions the active sets
   // are constant, so overlap accrues whenever both counts are non-zero.
-  // The four fields form one consistent snapshot — guarded, not atomic.
-  mutable core::Mutex engines_mu_;
-  int active_copies_ GFLINK_GUARDED_BY(engines_mu_) = 0;
-  int active_kernels_ GFLINK_GUARDED_BY(engines_mu_) = 0;
-  sim::Time last_engine_mark_ GFLINK_GUARDED_BY(engines_mu_) = 0;
-  sim::Duration overlap_ns_ GFLINK_GUARDED_BY(engines_mu_) = 0;
+  int active_copies_ = 0;
+  int active_kernels_ = 0;
+  sim::Time last_engine_mark_ = 0;
+  sim::Duration overlap_ns_ = 0;
 
   /// Host-side memcpy bandwidth for JVM-heap staging copies (the cost the
   /// off-heap design removes).

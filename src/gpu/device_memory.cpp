@@ -12,12 +12,10 @@ std::uint64_t align_up(std::uint64_t x) { return (x + kAlign - 1) / kAlign * kAl
 }  // namespace
 
 DeviceMemory::DeviceMemory(std::uint64_t capacity) : capacity_(capacity) {
-  core::MutexLock lock(mu_);
   free_list_[kBase] = capacity;
 }
 
 bool DeviceMemory::can_allocate(std::uint64_t bytes) const {
-  core::MutexLock lock(mu_);
   const std::uint64_t need = align_up(bytes);
   for (const auto& [base, size] : free_list_) {
     if (size >= need) return true;
@@ -27,7 +25,6 @@ bool DeviceMemory::can_allocate(std::uint64_t bytes) const {
 
 DevicePtr DeviceMemory::allocate(std::uint64_t bytes) {
   GFLINK_CHECK(bytes > 0);
-  core::MutexLock lock(mu_);
   const std::uint64_t need = align_up(bytes);
   for (auto it = free_list_.begin(); it != free_list_.end(); ++it) {
     if (it->second >= need) {
@@ -47,7 +44,6 @@ DevicePtr DeviceMemory::allocate(std::uint64_t bytes) {
 }
 
 void DeviceMemory::free(DevicePtr ptr) {
-  core::MutexLock lock(mu_);
   auto it = allocations_.find(ptr);
   GFLINK_CHECK_MSG(it != allocations_.end(), "free of unknown device pointer");
   std::uint64_t size = it->second.size;
@@ -74,7 +70,6 @@ void DeviceMemory::free(DevicePtr ptr) {
 }
 
 std::uint64_t DeviceMemory::allocation_size(DevicePtr ptr) const {
-  core::MutexLock lock(mu_);
   auto it = allocations_.find(ptr);
   GFLINK_CHECK_MSG(it != allocations_.end(), "unknown device pointer");
   return it->second.size;
@@ -91,14 +86,12 @@ std::map<DevicePtr, DeviceMemory::Allocation>::const_iterator DeviceMemory::cont
 }
 
 std::byte* DeviceMemory::shadow(DevicePtr ptr, std::uint64_t len) {
-  core::MutexLock lock(mu_);
   auto it = containing(ptr, len);
   auto& alloc = const_cast<Allocation&>(it->second);
   return alloc.bytes.data() + (ptr - it->first);
 }
 
 const std::byte* DeviceMemory::shadow(DevicePtr ptr, std::uint64_t len) const {
-  core::MutexLock lock(mu_);
   auto it = containing(ptr, len);
   return it->second.bytes.data() + (ptr - it->first);
 }

@@ -14,19 +14,8 @@ Json FlightEvent::to_json() const {
   return j;
 }
 
-void FlightRecorder::set_dump_path(std::string path) {
-  core::MutexLock lock(mu_);
-  dump_path_ = std::move(path);
-}
-
-std::string FlightRecorder::dump_path() const {
-  core::MutexLock lock(mu_);
-  return dump_path_;
-}
-
 void FlightRecorder::on_span_closed(const CausalSpan& span) {
   GFLINK_CHECK_MSG(span.node >= -1, "flight recorder node ids start at -1 (master)");
-  core::MutexLock lock(mu_);
   ++spans_seen_;
   const auto index = static_cast<std::size_t>(span.node + 1);
   if (index >= spans_.size()) spans_.resize(index + 1);
@@ -44,7 +33,6 @@ void FlightRecorder::on_span_closed(const CausalSpan& span) {
 }
 
 void FlightRecorder::note_event(sim::Time at, int node, std::string kind, std::string detail) {
-  core::MutexLock lock(mu_);
   ++events_seen_;
   auto& ring = events_[node];
   ring.push_back(FlightEvent{at, node, std::move(kind), std::move(detail)});
@@ -52,59 +40,21 @@ void FlightRecorder::note_event(sim::Time at, int node, std::string kind, std::s
 }
 
 void FlightRecorder::note_fault(sim::Time at, int node, std::string kind, std::string detail) {
-  // Decide about the auto-dump inside the critical section (so exactly one
-  // of any concurrent first faults elects itself), but run it outside: the
-  // mutex is not recursive and file I/O has no business under a leaf lock.
-  std::string dump_to;
-  {
-    core::MutexLock lock(mu_);
-    ++events_seen_;
-    auto& ring = events_[node];
-    ring.push_back(FlightEvent{at, node, std::move(kind), std::move(detail)});
-    while (ring.size() > capacity_) ring.pop_front();
-    ++faults_;
-    if (faults_ == 1 && !dump_path_.empty()) dump_to = dump_path_;
-  }
-  if (!dump_to.empty()) dump_now(dump_to);
+  note_event(at, node, std::move(kind), std::move(detail));
+  ++faults_;
+  if (faults_ == 1 && !dump_path_.empty()) dump_now(dump_path_);
 }
 
 bool FlightRecorder::dump_now(const std::string& path) {
-  // Serialize the rings under the lock; write the file outside it.
-  std::string payload;
-  {
-    core::MutexLock lock(mu_);
-    payload = to_json_locked().dump(2);
-  }
   std::ofstream out(path);
   if (!out) return false;
-  out << payload << "\n";
+  out << to_json().dump(2) << "\n";
   if (!out) return false;
-  core::MutexLock lock(mu_);
   ++dumps_;
   return true;
 }
 
-std::uint64_t FlightRecorder::faults() const {
-  core::MutexLock lock(mu_);
-  return faults_;
-}
-
-std::uint64_t FlightRecorder::dumps() const {
-  core::MutexLock lock(mu_);
-  return dumps_;
-}
-
-std::uint64_t FlightRecorder::events_seen() const {
-  core::MutexLock lock(mu_);
-  return events_seen_;
-}
-
 Json FlightRecorder::to_json() const {
-  core::MutexLock lock(mu_);
-  return to_json_locked();
-}
-
-Json FlightRecorder::to_json_locked() const {
   Json root = Json::object();
   root["schema"] = "gflink.flight_dump/v1";
   root["ring_capacity"] = static_cast<std::uint64_t>(capacity_);
@@ -149,22 +99,13 @@ Json FlightRecorder::to_json_locked() const {
 }
 
 void FlightRecorder::export_metrics(MetricsRegistry& m) const {
-  std::uint64_t spans_seen = 0, events_seen = 0, faults = 0, dumps = 0;
-  {
-    core::MutexLock lock(mu_);
-    spans_seen = spans_seen_;
-    events_seen = events_seen_;
-    faults = faults_;
-    dumps = dumps_;
-  }
-  m.counter("flight_spans_total").inc(static_cast<double>(spans_seen));
-  m.counter("flight_events_total").inc(static_cast<double>(events_seen));
-  m.counter("flight_faults_total").inc(static_cast<double>(faults));
-  m.counter("flight_dumps_total").inc(static_cast<double>(dumps));
+  m.counter("flight_spans_total").inc(static_cast<double>(spans_seen_));
+  m.counter("flight_events_total").inc(static_cast<double>(events_seen_));
+  m.counter("flight_faults_total").inc(static_cast<double>(faults_));
+  m.counter("flight_dumps_total").inc(static_cast<double>(dumps_));
 }
 
 void FlightRecorder::clear() {
-  core::MutexLock lock(mu_);
   spans_.clear();
   events_.clear();
   spans_seen_ = events_seen_ = faults_ = dumps_ = 0;

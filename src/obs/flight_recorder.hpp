@@ -3,18 +3,6 @@
 // fires or a run aborts. The rings are small and always active (unlike
 // span retention, which is opt-in), so post-mortems of untraced runs still
 // see the work surrounding the failure.
-//
-// Thread-safety: host-plane. The recorder started out simulation-plane
-// (single thread, no lock), but it is now written from both planes: the
-// simulation thread notes eviction/fault events and the telemetry
-// aggregator appends health events, while exporters, dump writers and the
-// threaded stress tests read concurrently. All state is guarded by a
-// core::Mutex that is a *leaf* in the lock hierarchy
-// (docs/ARCHITECTURE.md, "Concurrency invariants & lock hierarchy"), so
-// callers already holding a ranked lock — GMemoryManager::mu_ notes
-// eviction events under its own mutex — may call in safely, and the
-// recorder never acquires another lock while holding its own (dump and
-// metric export snapshot under the lock, then write/publish outside it).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 #include "obs/json.hpp"
@@ -50,8 +37,8 @@ class FlightRecorder {
 
   /// When set, the first note_fault() writes a dump here automatically
   /// (later faults only count — the interesting state is around the first).
-  void set_dump_path(std::string path);
-  std::string dump_path() const;
+  void set_dump_path(std::string path) { dump_path_ = std::move(path); }
+  const std::string& dump_path() const { return dump_path_; }
 
   /// SpanStore streams every completed span in; the ring keeps the most
   /// recent `capacity` per node. Node ids must be >= -1.
@@ -61,25 +48,22 @@ class FlightRecorder {
   void note_event(sim::Time at, int node, std::string kind, std::string detail);
 
   /// Record a fault event; if a dump path is configured, the first fault
-  /// snapshots the rings to it. Concurrent first faults elect exactly one
-  /// dumper (the ring contents are serialized under the lock; only the
-  /// file write happens outside it).
+  /// snapshots the rings to it.
   void note_fault(sim::Time at, int node, std::string kind, std::string detail);
 
   /// Snapshot the rings to a JSON file; false on I/O failure.
   bool dump_now(const std::string& path);
 
-  std::uint64_t faults() const;
-  std::uint64_t dumps() const;
-  std::uint64_t events_seen() const;
+  std::uint64_t faults() const { return faults_; }
+  std::uint64_t dumps() const { return dumps_; }
+  std::uint64_t events_seen() const { return events_seen_; }
 
   /// {"schema": "gflink.flight_dump/v1", "nodes": [{"node", "spans",
   ///  "events"}, ...]} — nodes in id order, rings oldest-first.
   Json to_json() const;
 
   /// flight_spans_total / flight_events_total / flight_faults_total /
-  /// flight_dumps_total counters. Snapshot-then-publish: the recorder's
-  /// leaf lock is released before the registry's leaf lock is taken.
+  /// flight_dumps_total counters.
   void export_metrics(MetricsRegistry& m) const;
 
   void clear();
@@ -94,17 +78,14 @@ class FlightRecorder {
     std::vector<CausalSpan> slots;
   };
 
-  Json to_json_locked() const GFLINK_REQUIRES(mu_);
-
   const std::size_t capacity_;
-  mutable core::Mutex mu_;
-  std::string dump_path_ GFLINK_GUARDED_BY(mu_);
-  std::vector<SpanRing> spans_ GFLINK_GUARDED_BY(mu_);  // per-node rings, index node + 1
-  std::map<int, std::deque<FlightEvent>> events_ GFLINK_GUARDED_BY(mu_);
-  std::uint64_t spans_seen_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::uint64_t events_seen_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::uint64_t faults_ GFLINK_GUARDED_BY(mu_) = 0;
-  std::uint64_t dumps_ GFLINK_GUARDED_BY(mu_) = 0;
+  std::string dump_path_;
+  std::vector<SpanRing> spans_;  // per-node rings, index node + 1
+  std::map<int, std::deque<FlightEvent>> events_;
+  std::uint64_t spans_seen_ = 0;
+  std::uint64_t events_seen_ = 0;
+  std::uint64_t faults_ = 0;
+  std::uint64_t dumps_ = 0;
 };
 
 }  // namespace gflink::obs

@@ -13,11 +13,6 @@
 //    to the makespan exactly;
 //  * find_stragglers() flags spans whose duration exceeds the p95 of their
 //    name peer group and names the resource the straggler waited on.
-//
-// Thread-safety: the SpanStore is simulation-plane state, mutated only by
-// the single simulation thread between suspension points (same discipline
-// as sim::Tracer — see docs/ARCHITECTURE.md, "Concurrency invariants").
-// It takes no lock; do not touch it from host-plane threads.
 #pragma once
 
 #include <algorithm>

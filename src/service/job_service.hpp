@@ -21,12 +21,10 @@
 //    tracer (tenant-labeled lanes), service_* metrics, and the per-tenant
 //    fairness section of the v3 run report.
 //
-// Concurrency: the service is simulation-plane state — mutated only
-// between suspension points of the single simulation thread (like the
-// GStreamManager scheduler), so it carries no lock. The dispatcher is the
-// synchronous pump() — called from submit() and from each job completion —
-// never a parked coroutine, so a drained simulation holds no service
-// processes (Engine::run's live_processes()==0 check stays valid).
+// The dispatcher is the synchronous pump() — called from submit() and
+// from each job completion — never a parked coroutine, so a drained
+// simulation holds no service processes (Engine::run's
+// live_processes()==0 check stays valid).
 #pragma once
 
 #include <deque>

@@ -52,53 +52,27 @@ ShuffleService::ShuffleService(sim::Simulation& sim, net::Cluster& cluster, dfs:
   GFLINK_CHECK(config_.max_retries >= 0);
 }
 
-std::uint64_t ShuffleService::resident_bytes(int worker) const {
-  core::MutexLock lock(mu_);
-  return resident_.at(static_cast<std::size_t>(worker));
-}
-
-void ShuffleService::add_resident(int worker, std::uint64_t bytes) {
-  core::MutexLock lock(mu_);
-  resident_.at(static_cast<std::size_t>(worker)) += bytes;
-}
-
 void ShuffleService::sub_resident(int worker, std::uint64_t bytes) {
-  core::MutexLock lock(mu_);
   auto& r = resident_.at(static_cast<std::size_t>(worker));
   GFLINK_CHECK_MSG(r >= bytes, "exchange resident-byte accounting went negative");
   r -= bytes;
 }
 
 void ShuffleService::block_started() {
-  std::int64_t now_in_flight;
-  {
-    core::MutexLock lock(mu_);
-    now_in_flight = ++in_flight_;
-    max_in_flight_ = std::max(max_in_flight_, in_flight_);
-  }
-  // Publish after release: the registry takes its own (leaf) lock.
-  metrics().gauge("shuffle_blocks_in_flight").set(static_cast<double>(now_in_flight));
+  ++in_flight_;
+  max_in_flight_ = std::max(max_in_flight_, in_flight_);
+  metrics().gauge("shuffle_blocks_in_flight").set(static_cast<double>(in_flight_));
 }
 
 void ShuffleService::block_finished() {
-  std::int64_t now_in_flight;
-  {
-    core::MutexLock lock(mu_);
-    now_in_flight = --in_flight_;
-  }
-  metrics().gauge("shuffle_blocks_in_flight").set(static_cast<double>(now_in_flight));
+  --in_flight_;
+  metrics().gauge("shuffle_blocks_in_flight").set(static_cast<double>(in_flight_));
 }
 
 bool ShuffleService::consume_injected_fault() {
-  core::MutexLock lock(mu_);
   if (injected_faults_ <= 0) return false;
   --injected_faults_;
   return true;
-}
-
-std::uint64_t ShuffleService::allocate_session_id() {
-  core::MutexLock lock(mu_);
-  return next_session_id_++;
 }
 
 sim::Co<bool> ShuffleService::transfer_block(int src, int dst, std::uint64_t bytes,
@@ -158,7 +132,7 @@ sim::Co<bool> ShuffleService::one_sided_write(int src, int dst, std::uint64_t of
 ShuffleSession::ShuffleSession(ShuffleService& service, int out_partitions, std::string label,
                                obs::SpanId parent)
     : service_(&service), out_partitions_(out_partitions), label_(std::move(label)),
-      id_(service.allocate_session_id()) {
+      id_(service.next_session_id_++) {
   GFLINK_CHECK(out_partitions_ >= 1);
   buckets_.resize(static_cast<std::size_t>(out_partitions_));
   credits_.reserve(static_cast<std::size_t>(out_partitions_));
@@ -172,18 +146,7 @@ ShuffleSession::ShuffleSession(ShuffleService& service, int out_partitions, std:
 }
 
 ShuffleSession::~ShuffleSession() {
-  core::MutexLock lock(mu_);
   GFLINK_CHECK_MSG(in_flight_sends_ == 0, "shuffle session destroyed with in-flight sends");
-}
-
-void ShuffleSession::begin_send() {
-  core::MutexLock lock(mu_);
-  ++in_flight_sends_;
-}
-
-bool ShuffleSession::end_send() {
-  core::MutexLock lock(mu_);
-  return --in_flight_sends_ == 0;
 }
 
 std::vector<mem::RecordBatch> ShuffleSession::partition(const mem::RecordBatch& in,
@@ -230,7 +193,7 @@ sim::Co<void> ShuffleSession::send(int src_worker, std::vector<mem::RecordBatch>
   for (int t = 0; t < out_partitions_; ++t) {
     auto& bucket = buckets[static_cast<std::size_t>(t)];
     if (bucket.empty()) continue;
-    begin_send();
+    ++in_flight_sends_;
     if (service_->config().mode == ShuffleMode::Pipelined) {
       // Detach the bucket send: the caller's task slot frees while the NIC
       // drains, and sends toward distinct receivers overlap each other.
@@ -255,10 +218,7 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
   const sim::Time begin = service_->sim().now();
   bool ok = true;
   if (dst != src && bytes > 0) {
-    {
-      core::MutexLock lock(mu_);
-      network_bytes_ += bytes;
-    }
+    network_bytes_ += bytes;
     obs::SpanStore& sp = service_->cluster().spans();
     // Parented to the session span (not the sending task): pipelined sends
     // outlive their task, but the session span stays open until finish().
@@ -339,10 +299,9 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
   if (ok) {
     co_await deposit(t, dst, std::move(bucket));
   } else {
-    core::MutexLock lock(mu_);
     ++aborted_blocks_;  // finish() turns this into a loud failure
   }
-  if (end_send() && drained_) drained_->fire();
+  if (--in_flight_sends_ == 0 && drained_) drained_->fire();
 }
 
 sim::Co<void> ShuffleSession::send_one_sided(int src, std::vector<mem::RecordBatch> buckets) {
@@ -392,7 +351,7 @@ sim::Co<void> ShuffleSession::send_one_sided(int src, std::vector<mem::RecordBat
   for (int t = 0; t < out_partitions_; ++t) {
     auto& bucket = buckets[static_cast<std::size_t>(t)];
     if (bucket.empty()) continue;
-    begin_send();
+    ++in_flight_sends_;
     service_->sim().spawn([](ShuffleSession& s, int from, int target, std::uint64_t off,
                              mem::RecordBatch b) -> sim::Co<void> {
       co_await s.one_sided_bucket(from, target, off, std::move(b));
@@ -408,10 +367,7 @@ sim::Co<void> ShuffleSession::one_sided_bucket(int src, int t, std::uint64_t off
   const sim::Time begin = service_->sim().now();
   bool ok = true;
   if (dst != src && bytes > 0) {
-    {
-      core::MutexLock lock(mu_);
-      network_bytes_ += bytes;
-    }
+    network_bytes_ += bytes;
     obs::SpanStore& sp = service_->cluster().spans();
     const obs::SpanId write_span =
         sp.open("shuffle:one_sided_write", obs::SpanCategory::Shuffle, span_, begin,
@@ -439,10 +395,9 @@ sim::Co<void> ShuffleSession::one_sided_bucket(int src, int t, std::uint64_t off
   if (ok) {
     co_await deposit(t, dst, std::move(bucket));
   } else {
-    core::MutexLock lock(mu_);
     ++aborted_blocks_;  // finish() turns this into a loud failure
   }
-  if (end_send() && drained_) drained_->fire();
+  if (--in_flight_sends_ == 0 && drained_) drained_->fire();
 }
 
 sim::Co<void> ShuffleSession::one_sided_barrier() {
@@ -488,7 +443,7 @@ sim::Co<void> ShuffleSession::deposit(int t, int dst, mem::RecordBatch bucket) {
     std::function<void()> on_landed = [service, acct, bytes] {
       service->metrics().inc("shuffle.spill_blocks");
       service->metrics().inc("shuffle.spill_bytes", static_cast<double>(bytes));
-      acct->fetch_add(bytes, std::memory_order_relaxed);
+      *acct += bytes;
     };
     if (cfg.spill_async) {
       // Asynchronous offload (the default): hand the bucket to dst's spill
@@ -499,11 +454,7 @@ sim::Co<void> ShuffleSession::deposit(int t, int dst, mem::RecordBatch bucket) {
     } else {
       // Synchronous ablation baseline: compress inline and hold the
       // depositing coroutine through the full DFS round trip.
-      std::uint64_t seq;
-      {
-        core::MutexLock lock(mu_);
-        seq = next_spill_seq_++;
-      }
+      const std::uint64_t seq = next_spill_seq_++;
       d.spill_path = cfg.spill_dir + "/s" + std::to_string(id_) + "-p" + std::to_string(t) +
                      "-" + std::to_string(seq);
       const std::uint64_t stored =
@@ -513,7 +464,7 @@ sim::Co<void> ShuffleSession::deposit(int t, int dst, mem::RecordBatch bucket) {
       on_landed();
     }
   } else {
-    service_->add_resident(dst, bytes);
+    service_->resident_.at(static_cast<std::size_t>(dst)) += bytes;
     d.counted_resident = true;
   }
   buckets_[static_cast<std::size_t>(t)].push_back(std::move(d));
@@ -524,25 +475,15 @@ sim::Co<void> ShuffleSession::finish() {
   // transport's own barrier), then falls through to the drain trigger that
   // covers the deposit/spill tail of each write coroutine.
   if (service_->config().mode == ShuffleMode::OneSided) co_await one_sided_barrier();
-  bool pending;
-  {
-    core::MutexLock lock(mu_);
-    pending = in_flight_sends_ > 0;
-  }
-  // No suspension point between the check above and the trigger creation,
-  // so no send can retire in between on the simulation thread.
-  if (pending) {
+  // No suspension point between the check and the trigger creation, so no
+  // send can retire in between.
+  if (in_flight_sends_ > 0) {
     drained_ = std::make_unique<sim::Trigger>(service_->sim());
     co_await drained_->wait();
   }
-  int aborted;
-  {
-    core::MutexLock lock(mu_);
-    aborted = aborted_blocks_;
-  }
   service_->cluster().spans().close(span_, service_->sim().now());
   span_ = 0;
-  GFLINK_CHECK_MSG(aborted == 0, "shuffle block transfer permanently failed after retries");
+  GFLINK_CHECK_MSG(aborted_blocks_ == 0, "shuffle block transfer permanently failed after retries");
 }
 
 sim::Co<std::vector<mem::RecordBatch>> ShuffleSession::take(int t, int reader,

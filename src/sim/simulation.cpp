@@ -6,6 +6,8 @@
 namespace gflink::sim {
 
 void Simulation::schedule_at(Time t, UniqueFunction fn) {
+  GFLINK_CHECK_MSG(std::this_thread::get_id() == owner_,
+                   "Simulation used from a thread other than its owner");
   GFLINK_CHECK_MSG(t >= now_, "cannot schedule an event in the past");
   queue_.push(Event{t, next_seq_++, std::move(fn)});
 }

@@ -9,10 +9,18 @@
 // Awaiting `sim.delay(d)` suspends the process for `d` nanoseconds of
 // virtual time. Synchronization primitives (Channel, Semaphore, ...) live
 // in sync.hpp and resume waiters through the same event queue.
+//
+// Threading model: a Simulation, and every object wired to it (cluster,
+// devices, managers, metric registries, span stores, flight recorders),
+// belongs to the thread that constructed the Simulation. None of them
+// carry locks. schedule_at() checks the calling thread, so cross-thread
+// use aborts loudly instead of racing. Independent Simulations may run on
+// separate threads as long as they share no mutable state.
 #pragma once
 
 #include <cstdint>
 #include <queue>
+#include <thread>
 #include <vector>
 
 #include "sim/coro.hpp"
@@ -31,6 +39,7 @@ class Simulation {
   Time now() const { return now_; }
 
   /// Schedule `fn` to run at absolute virtual time `t` (must be >= now()).
+  /// Aborts when called from a thread other than the constructing one.
   void schedule_at(Time t, UniqueFunction fn);
 
   /// Schedule `fn` to run `d` nanoseconds from now.
@@ -109,6 +118,7 @@ class Simulation {
   DetachedTask drive(Co<void> co);
 
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  const std::thread::id owner_ = std::this_thread::get_id();
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

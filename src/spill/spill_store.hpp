@@ -34,12 +34,8 @@
 // on the worker, when the block lands — the single-point-accounting rule
 // the shuffle layer's spill-byte counters rely on.
 //
-// Thread-safety: the store is simulation-plane state (queues, tier
-// cursors, block flags), mutated only between suspension points of the
-// single simulation thread — same discipline as sim::Tracer and the
-// ShuffleSession bucket table. Metrics go through the thread-safe
-// registry. Every metric and span emitted here carries a tier
-// attribution (gflint rule R6).
+// Every metric and span emitted here carries a tier attribution (gflint
+// rule R6).
 #pragma once
 
 #include <functional>
@@ -180,7 +176,7 @@ class SpillStore {
     BlockHandle block;
     obs::SpanLink link;
   };
-  /// Per-node simulation-plane state. The queue is the backpressure
+  /// Per-node state. The queue is the backpressure
   /// primitive: senders park when it is full.
   struct NodeState {
     explicit NodeState(sim::Simulation& sim, std::size_t capacity) : queue(sim, capacity) {}

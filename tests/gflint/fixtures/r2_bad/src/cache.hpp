@@ -1,11 +1,12 @@
 #pragma once
+#include <atomic>
 #include <mutex>
 
-// Fixture: both R2 failure modes — a raw std::mutex member, and a
-// core::Mutex that no annotation or MutexLock ever references.
+// Fixture: two R2 findings — a raw std::mutex member and a std::atomic
+// member, both host concurrency in one-thread-confined code.
 class Cache {
  private:
-  std::mutex raw_mu_;       // finding: raw std::mutex
-  core::Mutex unused_mu_;   // finding: never annotated or locked
+  std::mutex raw_mu_;            // finding: host lock
+  std::atomic<int> hits_{0};     // finding: host atomic
   int entries_ = 0;
 };

@@ -1,16 +1,15 @@
 #pragma once
 
-// Fixture: annotated core::Mutex members pass R2 — one referenced by
-// GUARDED_BY, one only ever taken through MutexLock.
+// Fixture: a one-thread-confined class passes R2 — plain members, no locks.
+// A sim::Mutex is a simulated resource (FIFO occupancy in virtual time),
+// not a host lock, and the owner check may name std::thread::id.
 class Cache {
  public:
-  int entries() const {
-    core::MutexLock lock(stats_mu_);
-    return entries_;
-  }
+  int entries() const { return entries_; }
+  void add() { ++entries_; }
 
  private:
-  mutable core::Mutex mu_;
-  mutable core::Mutex stats_mu_;
-  int entries_ GFLINK_GUARDED_BY(mu_) = 0;
+  sim::Mutex engine_;
+  std::thread::id owner_;
+  int entries_ = 0;
 };

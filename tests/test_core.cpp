@@ -217,8 +217,10 @@ TEST(GMemoryManager, ReleaseJobFreesDeviceMemory) {
   m.insert(0, 7, 1, 1000);
   m.insert(0, 7, 2, 1000);
   EXPECT_GT(dev.memory().allocated(), 0u);
+  EXPECT_EQ(m.region_used(0), 2000u);
   m.release_job(7);
   EXPECT_EQ(dev.memory().allocated(), 0u);
+  EXPECT_EQ(m.region_used(0), 0u);
   EXPECT_FALSE(m.lookup(0, 7, 1).has_value());
 }
 

@@ -86,12 +86,16 @@ TEST(DeviceMemory, CoalescingMergesNeighbours) {
   auto b = m.allocate(1024);
   auto c = m.allocate(1024);
   auto d = m.allocate(1024);
-  (void)d;
   m.free(b);
   m.free(c);  // must merge with b's hole
   auto big = m.allocate(2048);
   EXPECT_EQ(big, b);
-  (void)a;
+  // Interleaved frees coalesce the whole range back into one hole.
+  m.free(d);
+  m.free(a);
+  m.free(big);
+  EXPECT_EQ(m.allocated(), 0u);
+  EXPECT_EQ(m.allocate(4096), a);
 }
 
 TEST(DeviceMemory, ShadowIsReadableAndBoundsChecked) {

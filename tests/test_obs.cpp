@@ -86,6 +86,11 @@ TEST(Metrics, LabelSemantics) {
   EXPECT_DOUBLE_EQ((m.counter_value("multi", {{"y", "2"}, {"x", "1"}})), 2.0);
   // Absent series read as zero.
   EXPECT_DOUBLE_EQ((m.counter_value("bytes", {{"pipe", "zzz"}})), 0.0);
+  // Distinct label sets each make their own entry.
+  obs::MetricsRegistry many;
+  for (int i = 0; i < 200; ++i) many.counter("create", {{"i", std::to_string(i)}}).inc();
+  EXPECT_EQ(many.counters().size(), 200u);
+  EXPECT_DOUBLE_EQ(many.counter_sum("create"), 200.0);
 
   obs::MetricId id{"bytes", {{"pipe", "a"}}};
   EXPECT_EQ(id.to_string(), "bytes{pipe=\"a\"}");
@@ -98,6 +103,12 @@ TEST(Metrics, HandlesAreStable) {
   for (int i = 0; i < 100; ++i) m.counter("other" + std::to_string(i));
   c.inc(7);
   EXPECT_DOUBLE_EQ(m.counter_value("hot"), 7.0);
+  m.inc("hot");  // the keyed path reaches the series the handle holds
+  EXPECT_DOUBLE_EQ(c.value(), 8.0);
+  obs::Gauge& g = m.gauge("level");
+  g.set(1.0);
+  m.gauge("level").set(3.0);
+  EXPECT_DOUBLE_EQ(g.value(), 3.0);  // last write wins
 }
 
 TEST(Metrics, HistogramRegistrationAndQuantiles) {
@@ -644,6 +655,8 @@ TEST(FlightRecorder, DumpMatchesDequeReference) {
     for (const auto& e : events) fr.note_event(e.at, e.node, e.kind, e.detail);
     EXPECT_EQ(fr.to_json().dump(), deque_reference_dump(capacity, spans, events))
         << "capacity " << capacity;
+    EXPECT_EQ(fr.events_seen(), events.size());  // counts past the ring capacity
+    EXPECT_EQ(fr.faults(), 0u);
   }
   obs::FlightRecorder empty_rings(0);
   for (const auto& s : spans) empty_rings.on_span_closed(s);
@@ -667,6 +680,14 @@ TEST(FlightRecorder, FirstFaultAutoDumps) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
   std::remove(path.c_str());
+  obs::MetricsRegistry m;
+  fr.export_metrics(m);
+  EXPECT_DOUBLE_EQ(m.counter_value("flight_events_total"), 3.0);
+  EXPECT_DOUBLE_EQ(m.counter_value("flight_faults_total"), 2.0);
+  EXPECT_DOUBLE_EQ(m.counter_value("flight_dumps_total"), 1.0);
+  fr.clear();
+  EXPECT_EQ(fr.faults(), 0u);
+  EXPECT_EQ(fr.events_seen(), 0u);
 }
 
 TEST(RunReport, DerivedMetricsHandleEmptyRegistry) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -161,6 +162,18 @@ TEST(Simulation, SpawnedProcessesInterleaveDeterministically) {
   std::vector<std::pair<int, Time>> expect = {{0, 10}, {1, 20}, {0, 20}, {2, 30}, {0, 30},
                                               {1, 40}, {2, 60}, {1, 60}, {2, 90}};
   EXPECT_EQ(log, expect);
+}
+
+// A Simulation belongs to the thread that constructed it: scheduling from
+// any other thread aborts instead of racing on the event queue.
+TEST(SimulationDeathTest, ScheduleFromForeignThreadAborts) {
+  EXPECT_DEATH(
+      {
+        Simulation s;
+        std::thread foreign([&s] { s.schedule_in(1, [] {}); });
+        foreign.join();
+      },
+      "Simulation used from a thread other than its owner");
 }
 
 TEST(Trigger, WakesAllWaitersOnceFired) {

@@ -16,12 +16,15 @@ cannot express (see docs/ARCHITECTURE.md, "Static analysis & lint"):
                      automatic memory management). Raw allocator calls
                      (`.memory().allocate/free`) and `cuda_malloc/cuda_free`
                      call sites are restricted to an allowlist.
-  R2  mutex          No raw `std::mutex` member outside the annotated
-                     wrapper (core/thread_annotations.hpp), and every
-                     `core::Mutex` member must be referenced by at least
-                     one thread-safety annotation (GUARDED_BY / REQUIRES /
-                     ACQUIRE / ...) in the same file — an unannotated lock
-                     guards nothing the analysis can check.
+  R2  one-thread     No host concurrency primitive in src/**: no `std::`
+                     mutex or atomic of any kind, no `std::thread`,
+                     `jthread` or `async`, and no `core::` mutex type.
+                     A Simulation and every object wired to it is
+                     confined to the thread that constructed the
+                     Simulation (docs/ARCHITECTURE.md, "Threading
+                     model"), so a lock or an atomic there guards
+                     nothing. `std::thread::id` (the owner check) is
+                     allowed; `sim::Mutex` is a simulated resource.
   R3  metrics        Every metric name emitted in src/** appears in the
                      EXPERIMENTS.md metric catalog, and vice versa (the
                      catalog is the stable machine interface of run
@@ -63,14 +66,6 @@ cannot express (see docs/ARCHITECTURE.md, "Static analysis & lint"):
                      (shared_from_this(), an owner handle, or an explicit
                      allowlist with justification). The frame captures
                      `this`; nothing ties the object's lifetime to it.
-  L1  lock-order     Two `core::Mutex` acquisitions (directly, through a
-                     GFLINK_REQUIRES(...) entry precondition, or one call
-                     level deep through a function known to acquire) in an
-                     order contradicting the documented lock hierarchy
-                     parsed from docs/ARCHITECTURE.md ("### Lock
-                     hierarchy"): ranked locks only in ascending order,
-                     leaf locks never held while acquiring another.
-
   A1  allow-hygiene  A `gflint: allow(...)` suppression with no written
                      justification. Always on; not suppressible.
 
@@ -116,18 +111,12 @@ CUDA_ALLOC_ALLOWED_DIRS = ("gpu/",)
 CUDA_ALLOC_ALLOWED_FILES = {"core/gstream_manager.cpp"}
 CUDA_ALLOC_RE = re.compile(r"\bcuda_(malloc|free)\s*\(")
 
-# R2: the annotated wrapper itself wraps a std::mutex; everything else must
-# use core::Mutex. sim::Mutex is a simulated resource, not a host lock.
-MUTEX_EXEMPT = {"core/thread_annotations.hpp"}
-STD_MUTEX_RE = re.compile(r"\bstd::(mutex|recursive_mutex|shared_mutex|timed_mutex)\b")
-CORE_MUTEX_MEMBER_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:core::|gflink::core::)Mutex\s+(\w+)\s*;", re.M
+# R2: host concurrency primitives. std::thread::id is allowed (the
+# Simulation owner check); sim::Mutex is a simulated resource, not a lock.
+HOST_CONCURRENCY_RE = re.compile(
+    r"\bstd::(?:\w*mutex|atomic\w*|thread(?!::id\b)|jthread|async)\b"
+    r"|\bcore::\w*Mutex\w*"
 )
-ANNOTATION_RE_TMPL = (
-    r"GFLINK_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES|ACQUIRE|RELEASE|TRY_ACQUIRE|"
-    r"EXCLUDES|ACQUIRED_BEFORE|ACQUIRED_AFTER)\s*\(\s*{name}\s*[),]"
-)
-MUTEX_LOCK_RE_TMPL = r"MutexLock\s+\w+\s*\(\s*{name}\s*\)"
 
 # R3: metric registration/emission sites: one of these methods called with a
 # string literal as the first argument (the repo-wide idiom).
@@ -173,20 +162,15 @@ LVALUE_ARG_RE = re.compile(
 # C3: tokens in a spawn statement that count as a keep-alive of `this`.
 KEEPALIVE_TOKENS = ("shared_from_this", "self", "keep_alive")
 
-# L1: the hierarchy is parsed from this section of docs/ARCHITECTURE.md.
-LOCK_HIERARCHY_HEADING = "### Lock hierarchy"
-LOCK_ROW_RE = re.compile(r"^\|\s*(\d+|leaf)\s*\|([^|]*)\|", re.M)
-LOCK_NAME_RE = re.compile(r"`([\w:]+)`")
-
 # Suppression comments: `gflint: allow(R2): justification` (also accepts
 # `allow(R2) justification` and comma-separated rule lists).
 ALLOW_RE = re.compile(r"gflint:\s*allow\(([^)]*)\)\s*:?\s*(.*)", re.S)
 
-ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "C1", "C2", "C3", "L1")
+ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "C1", "C2", "C3")
 
 RULE_DESCRIPTIONS = {
     "R1": "device memory allocated outside GMemoryManager/CudaWrapper",
-    "R2": "raw std::mutex or unannotated core::Mutex member",
+    "R2": "host lock, atomic or thread in one-thread-confined src/",
     "R3": "metric emissions out of sync with the EXPERIMENTS.md catalog",
     "R4": "GStruct mirror struct without a GSTRUCT_MIRROR_CHECK",
     "R5": "src/service telemetry without tenant attribution",
@@ -195,7 +179,6 @@ RULE_DESCRIPTIONS = {
     "C1": "capturing-lambda coroutine (closure dies before the frame)",
     "C2": "detached coroutine borrowing a temporary-prone parameter",
     "C3": "detached member coroutine without a keep-alive of this",
-    "L1": "core::Mutex acquisitions contradicting the documented hierarchy",
     "A1": "gflint allow() suppression without a justification",
 }
 
@@ -399,26 +382,19 @@ class FileModel:
     def _match_braces(self):
         sig = self.sig
         self.match = {}
-        self.parent_brace = [None] * len(sig)
         stacks = {"(": [], "{": [], "[": []}
         closers = {")": "(", "}": "{", "]": "["}
-        brace_stack = []
         for i, (kind, text, _line) in enumerate(sig):
-            self.parent_brace[i] = brace_stack[-1] if brace_stack else None
             if kind != "punct":
                 continue
             if text in stacks:
                 stacks[text].append(i)
-                if text == "{":
-                    brace_stack.append(i)
             elif text in closers:
                 st = stacks[closers[text]]
                 if st:
                     j = st.pop()
                     self.match[j] = i
                     self.match[i] = j
-                if text == "}" and brace_stack:
-                    brace_stack.pop()
 
     def line_at(self, si: int) -> int:
         return self.sig[si][2] if 0 <= si < len(self.sig) else 0
@@ -642,10 +618,9 @@ class FileModel:
             m += 1
         if body is not None and body[1] is None:
             body = None
-        if (body is None and not self._decl_returns_co(ret)
-                and "GFLINK_REQUIRES" not in " ".join(post)):
+        if body is None and not self._decl_returns_co(ret):
             # Body-less declarations are only interesting when they declare a
-            # coroutine (C2/C3 registry) or carry a REQUIRES annotation (L1).
+            # coroutine (C2/C3 registry).
             return None
         cls = None
         if len(parts) > 1:
@@ -945,133 +920,6 @@ def extract_spawn_sites(model):
     return sites
 
 
-# ---- Lock-order fact extraction (L1) ---------------------------------------
-
-REQUIRES_IN_POST_RE = re.compile(r"GFLINK_REQUIRES\s*\(\s*(.*?)\s*\)")
-TYPE_WORD_SKIP = {"const", "volatile", "struct", "class", "typename", "mutable", "std"}
-
-
-def class_of_type(type_text: str):
-    words = [w for w in re.findall(r"[A-Za-z_]\w*", type_text)
-             if w not in TYPE_WORD_SKIP]
-    return words[-1] if words else None
-
-
-def resolve_lock_name(texts, fn):
-    """Map a lock expression ('mu_', 'this -> mu_', 'other . mu_') to a
-    (Class, member) key, or None when unresolvable (conservatively skip)."""
-    texts = [t for t in texts if t]
-    if texts[:2] == ["this", "->"]:
-        texts = texts[2:]
-    if len(texts) == 1 and re.match(r"^[A-Za-z_]\w*$", texts[0]):
-        return (fn["cls"], texts[0]) if fn["cls"] else None
-    if len(texts) == 3 and texts[1] in (".", "->"):
-        obj, _, mem = texts
-        for ptype, pname in fn["params"]:
-            if pname == obj:
-                cls = class_of_type(ptype)
-                return (cls, mem) if cls else None
-    return None
-
-
-def extract_lock_facts(model):
-    """Per function-definition: direct MutexLock acquisitions (with RAII
-    scope extents), call events, and GFLINK_REQUIRES-held locks. Also
-    returns REQUIRES found on body-less declarations for cross-file merge."""
-    fns = []
-    req_decls = []
-    sig = model.sig
-    for f in model.functions:
-        req = []
-        for m in REQUIRES_IN_POST_RE.finditer(f["post"]):
-            for item in m.group(1).split(","):
-                key = resolve_lock_name(item.split(), f)
-                if key:
-                    req.append(key)
-        b = f.get("body")
-        if b is None or b[1] is None:
-            if req and f["cls"]:
-                req_decls.append({"cls": f["cls"], "name": f["name"], "req": req})
-            continue
-        lo, hi = b
-        acq = []
-        calls = []
-        j = lo + 1
-        while j < hi:
-            kind, text, line = sig[j]
-            if (kind == "id" and text == "MutexLock" and j + 2 < hi
-                    and sig[j + 1][0] == "id" and sig[j + 2][1] == "("):
-                pc = model.match.get(j + 2)
-                if pc is not None:
-                    key = resolve_lock_name([t[1] for t in sig[j + 3:pc]], f)
-                    scope_open = model.parent_brace[j]
-                    scope_end = (model.match.get(scope_open, hi)
-                                 if scope_open is not None else hi)
-                    if key:
-                        acq.append({"key": key, "si": j, "end": scope_end,
-                                    "line": line})
-                    j = pc + 1
-                    continue
-            if (kind == "id" and text not in CONTROL_KEYWORDS
-                    and text != "MutexLock"
-                    and j + 1 < hi and sig[j + 1][1] == "("):
-                # Type the receiver so `free_list_.erase(it)` is never
-                # conflated with some class's own acquiring erase():
-                #   ("own",)     unqualified / this-> call on the own class
-                #   ("cls", C)   call through a parameter of class C, or an
-                #                explicit C::fn(...) qualified call
-                #   None         unresolvable receiver — never propagated
-                recv = ("own",)
-                prev = sig[j - 1][1] if j > 0 else ""
-                obj = sig[j - 2] if j >= 2 else None
-                if prev in (".", "->"):
-                    if obj and obj[1] == "this":
-                        recv = ("own",)
-                    elif obj and obj[0] == "id":
-                        cls = None
-                        for ptype, pname in f["params"]:
-                            if pname == obj[1]:
-                                cls = class_of_type(ptype)
-                                break
-                        recv = ("cls", cls) if cls else None
-                    else:
-                        recv = None
-                elif prev == "::":
-                    recv = (("cls", obj[1])
-                            if obj and obj[0] == "id" else None)
-                calls.append({"name": text, "si": j, "line": line,
-                              "recv": recv})
-            j += 1
-        fns.append({"cls": f["cls"], "name": f["name"], "qual": f["qual"],
-                    "line": f["line"], "acq": acq, "calls": calls, "req": req})
-    return fns, req_decls
-
-
-def parse_lock_hierarchy(doc_path: Path):
-    """(Class, member) -> rank (int) or 'leaf', parsed from the markdown
-    table under '### Lock hierarchy' in docs/ARCHITECTURE.md."""
-    try:
-        text = doc_path.read_text()
-    except OSError:
-        return None
-    idx = text.find(LOCK_HIERARCHY_HEADING)
-    if idx < 0:
-        return None
-    section = text[idx:]
-    m = re.search(r"\n#{1,3} ", section[1:])
-    if m:
-        section = section[:m.start() + 1]
-    ranks = {}
-    for row in LOCK_ROW_RE.finditer(section):
-        rank = row.group(1)
-        r = "leaf" if rank == "leaf" else int(rank)
-        for name in LOCK_NAME_RE.findall(row.group(2)):
-            parts = name.split("::")
-            if len(parts) >= 2:
-                ranks[(parts[-2], parts[-1])] = r
-    return ranks or None
-
-
 # ---- Per-file scan (worker entry; parallel-safe, picklable result) ---------
 
 
@@ -1111,25 +959,13 @@ def scan_file(task):
                     "automatic memory management owns device allocation lifetimes"))
 
     def r2():
-        if rel in MUTEX_EXEMPT:
-            return
-        for m in STD_MUTEX_RE.finditer(model.code):
+        for m in HOST_CONCURRENCY_RE.finditer(model.code):
             findings.append((
                 "R2", relp, model.line_of_offset(m.start()),
-                f"raw {m.group(0)} — use the annotated core::Mutex from "
-                "core/thread_annotations.hpp so -Wthread-safety can check it"))
-        for m in CORE_MUTEX_MEMBER_RE.finditer(model.code):
-            name = m.group(1)
-            annotated = re.search(ANNOTATION_RE_TMPL.format(name=re.escape(name)),
-                                  model.code)
-            locked = re.search(MUTEX_LOCK_RE_TMPL.format(name=re.escape(name)),
-                               model.code)
-            if not annotated and not locked:
-                findings.append((
-                    "R2", relp, model.line_of_offset(m.start()),
-                    f"core::Mutex member '{name}' is never referenced by a "
-                    "GFLINK_* annotation or MutexLock in this file — an unused "
-                    "lock guards nothing the analysis can verify"))
+                f"{m.group(0)} in src/ — a Simulation and every object wired to "
+                "it belong to one thread (docs/ARCHITECTURE.md, 'Threading "
+                "model'), so host locks, atomics and threads guard nothing; "
+                "use plain state"))
 
     def attribution_rule(rule, subdir, word, span_methods, hint):
         if not rel.startswith(subdir):
@@ -1195,7 +1031,6 @@ def scan_file(task):
                     "pass state as parameters (PR-8 bug class)"))
 
     t0 = time.perf_counter()
-    lock_fns, req_decls = extract_lock_facts(model)
     spawn = extract_spawn_sites(model)
     rule_ms["facts"] = (time.perf_counter() - t0) * 1000.0
 
@@ -1230,8 +1065,6 @@ def scan_file(task):
                 for f in model.functions if f["is_coro"]
             ],
             "spawn_sites": spawn,
-            "lock_fns": lock_fns,
-            "req_decls": req_decls,
         },
     }
 
@@ -1370,84 +1203,6 @@ def rule_coro_detach(results):
     return findings
 
 
-def order_violation(held, acquired, ranks):
-    rh = ranks.get(tuple(held))
-    ra = ranks.get(tuple(acquired))
-    if rh is None or ra is None:
-        return None
-    if rh == "leaf":
-        return ("%s is a leaf lock and must never be held while acquiring "
-                "any other lock" % "::".join(held))
-    if ra == "leaf":
-        return None
-    if rh >= ra:
-        return (f"rank {rh} is held while acquiring rank {ra}; the hierarchy "
-                "requires strictly ascending acquisition")
-    return None
-
-
-def rule_lock_order(results, ranks):
-    lock_data = []
-    requires_map = {}
-    for r in results:
-        for fn in r["facts"]["lock_fns"]:
-            lock_data.append((f"src/{r['rel']}", fn))
-        for d in r["facts"]["req_decls"]:
-            requires_map.setdefault((d["cls"], d["name"]), []).extend(
-                tuple(k) for k in d["req"])
-    acquiring = {}
-    for _rel, fn in lock_data:
-        if fn["acq"]:
-            keys = tuple(sorted({tuple(a["key"]) for a in fn["acq"]}))
-            acquiring.setdefault(fn["name"], set()).add((fn["cls"], keys))
-    findings = []
-    seen = set()
-    for relp, fn in lock_data:
-        req_keys = [tuple(k) for k in fn["req"]]
-        req_keys += requires_map.get((fn["cls"], fn["name"]), [])
-        held = [{"key": k, "si": -1, "end": 10 ** 9, "line": fn["line"],
-                 "via": "a GFLINK_REQUIRES precondition"} for k in req_keys]
-        held += [{"key": tuple(a["key"]), "si": a["si"], "end": a["end"],
-                  "line": a["line"], "via": "MutexLock"} for a in fn["acq"]]
-        events = [{"key": tuple(a["key"]), "si": a["si"], "line": a["line"],
-                   "via": "MutexLock"} for a in fn["acq"]]
-        for c in fn["calls"]:
-            if c["name"] == fn["name"] or c.get("recv") is None:
-                continue
-            entries = acquiring.get(c["name"])
-            if not entries:
-                continue
-            recv = tuple(c["recv"])
-            if recv == ("own",):
-                cands = [e for e in entries
-                         if e[0] == fn["cls"] or e[0] is None]
-            else:
-                cands = [e for e in entries if e[0] == recv[1]]
-            if len(cands) != 1:
-                continue  # no (or ambiguous) receiver match — don't guess
-            for k in cands[0][1]:
-                events.append({"key": k, "si": c["si"], "line": c["line"],
-                               "via": f"a call to {c['name']}() which acquires it"})
-        for h in held:
-            for e in events:
-                if not (h["si"] < e["si"] <= h["end"]):
-                    continue
-                reason = order_violation(h["key"], e["key"], ranks)
-                if not reason:
-                    continue
-                dedup = (relp, fn["qual"], h["key"], e["key"])
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                hk, ek = "::".join(h["key"]), "::".join(e["key"])
-                findings.append((
-                    "L1", relp, e["line"],
-                    f"{fn['qual']}() acquires {ek} (via {e['via']}) while "
-                    f"holding {hk} (via {h['via']}): {reason} — see "
-                    "docs/ARCHITECTURE.md, '### Lock hierarchy'"))
-    return findings
-
-
 # ---- Suppressions, SARIF, stats, driver ------------------------------------
 
 
@@ -1530,8 +1285,7 @@ def print_stats(results, findings, global_ms, suppressed, rules, jobs):
     for r in results:
         for rule, ms in r["rule_ms"].items():
             if rule == "facts":
-                per_rule_ms["C2/C3/L1 facts"] = \
-                    per_rule_ms.get("C2/C3/L1 facts", 0.0) + ms
+                per_rule_ms["C2/C3 facts"] = per_rule_ms.get("C2/C3 facts", 0.0) + ms
             else:
                 per_rule_ms[rule] = per_rule_ms.get(rule, 0.0) + ms
     counts = {}
@@ -1590,14 +1344,6 @@ def main() -> int:
         if not records.is_file():
             print(f"gflint: error: missing {records}", file=sys.stderr)
             return 2
-    ranks = None
-    if "L1" in rules and not args.list_metrics:
-        doc = args.root / "docs" / "ARCHITECTURE.md"
-        ranks = parse_lock_hierarchy(doc)
-        if ranks is None:
-            print(f"gflint: error: no parseable '{LOCK_HIERARCHY_HEADING}' table "
-                  f"in {doc} — L1 needs the documented hierarchy", file=sys.stderr)
-            return 2
 
     files = collect_files(src)
     jobs = args.jobs if args.jobs > 0 else min(8, os.cpu_count() or 1)
@@ -1642,8 +1388,6 @@ def main() -> int:
     if rules & {"C2", "C3"}:
         detach = timed_global("C2/C3", lambda: rule_coro_detach(results))
         global_findings += [f for f in detach if f[0] in rules]
-    if "L1" in rules:
-        global_findings += timed_global("L1", lambda: rule_lock_order(results, ranks))
     global_findings += rule_allow_hygiene(results)
     findings.extend(global_findings)
 
