@@ -34,7 +34,7 @@ using Labels = std::map<std::string, std::string>;
 /// A metric's identity: name plus labels.
 struct MetricId {
   std::string name;
-  Labels labels;
+  Labels labels{};
 
   bool operator<(const MetricId& other) const {
     if (name != other.name) return name < other.name;

@@ -171,8 +171,8 @@ class ShuffleSession {
     mem::RecordBatch batch;
     bool spilled = false;
     bool counted_resident = false;  // held exchange-budget bytes until taken
-    std::string spill_path;              // sync spill path (DFS file)
-    spill::BlockHandle spill_block;      // async spill path (tiered store)
+    std::string spill_path{};            // sync spill path (DFS file)
+    spill::BlockHandle spill_block{};    // async spill path (tiered store)
   };
 
   sim::Co<void> send_bucket(int src, int t, mem::RecordBatch bucket);

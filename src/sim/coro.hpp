@@ -5,9 +5,15 @@
 // awaiter when it completes (via symmetric transfer, so arbitrarily deep
 // await chains do not grow the native stack). Top-level processes are
 // detached into a Simulation with `Simulation::spawn`.
+//
+// Frames come from a per-thread free list (see PooledFrame below), so the
+// await-heavy hot loops of the simulator do not go through malloc for each
+// call. The pool is per thread because a Simulation and every process in it
+// stay on the thread that constructed the Simulation.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -20,6 +26,26 @@ template <typename T>
 class Co;
 
 namespace detail {
+
+/// Frame allocation for simulation coroutines. Requests of up to
+/// kMaxPooledFrame bytes are rounded up to a multiple of kFrameClassBytes
+/// and recycled through a free list per size class and thread: a frame
+/// freed into a class is the next one that class hands out. Larger requests
+/// go to global new/delete. `frame_free` must get the size passed to
+/// `frame_alloc`. The lists are released when their thread exits.
+inline constexpr std::size_t kFrameClassBytes = 64;
+inline constexpr std::size_t kMaxPooledFrame = 2048;
+void* frame_alloc(std::size_t bytes);
+void frame_free(void* frame, std::size_t bytes) noexcept;
+
+/// Base of every simulator promise type: routes the coroutine frame through
+/// frame_alloc/frame_free.
+struct PooledFrame {
+  static void* operator new(std::size_t bytes) { return frame_alloc(bytes); }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    frame_free(frame, bytes);
+  }
+};
 
 struct FinalAwaiter {
   bool await_ready() const noexcept { return false; }
@@ -34,7 +60,7 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct CoPromiseBase {
+struct CoPromiseBase : PooledFrame {
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
 

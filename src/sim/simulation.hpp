@@ -18,8 +18,8 @@
 // separate threads as long as they share no mutable state.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -34,16 +34,23 @@ class Simulation {
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
+  /// Frees the frames of spawned processes that never started.
+  ~Simulation();
 
   /// Current virtual time.
   Time now() const { return now_; }
 
   /// Schedule `fn` to run at absolute virtual time `t` (must be >= now()).
   /// Aborts when called from a thread other than the constructing one.
-  void schedule_at(Time t, UniqueFunction fn);
+  void schedule_at(Time t, UniqueFunction fn) { push(t, Action{{}, std::move(fn)}); }
 
   /// Schedule `fn` to run `d` nanoseconds from now.
   void schedule_in(Duration d, UniqueFunction fn) { schedule_at(now_ + d, std::move(fn)); }
+
+  /// Resume the suspended coroutine `h` `d` nanoseconds from now. This is
+  /// how processes wake up (delays, sync.hpp hand-offs, spawn); the event
+  /// carries only the handle.
+  void resume_in(Duration d, std::coroutine_handle<> h) { push(now_ + d, Action{h, {}}); }
 
   /// Detach a coroutine process into the simulation. The coroutine starts
   /// when the event queue reaches the current time slot (not synchronously),
@@ -53,12 +60,13 @@ class Simulation {
   /// Run until the event queue is empty. Returns the final virtual time.
   Time run();
 
-  /// Run events with timestamp <= t. The clock ends at exactly `t` even if
-  /// the queue empties earlier. Returns the number of events processed.
+  /// Run events with timestamp <= t (t >= now()). The clock ends at exactly
+  /// `t` even if the queue empties earlier. Returns the number of events
+  /// processed.
   std::uint64_t run_until(Time t);
 
   /// True if no events are pending.
-  bool idle() const { return queue_.empty(); }
+  bool idle() const { return heap_.empty() && lane_.empty(); }
 
   /// Number of events executed so far (diagnostic).
   std::uint64_t events_processed() const { return events_processed_; }
@@ -74,9 +82,7 @@ class Simulation {
       Simulation* sim;
       Duration d;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sim->schedule_in(d, [h] { h.resume(); });
-      }
+      void await_suspend(std::coroutine_handle<> h) { sim->resume_in(d, h); }
       void await_resume() const noexcept {}
     };
     GFLINK_CHECK_MSG(d >= 0, "negative delay");
@@ -88,10 +94,24 @@ class Simulation {
   auto yield() { return delay(0); }
 
  private:
+  // What an event does: resume a coroutine, or (when `resume` is null) call
+  // `fn`. Callbacks are for model logic that is not a process, such as
+  // failure injection and timeouts.
+  struct Action {
+    std::coroutine_handle<> resume;
+    UniqueFunction fn;
+    void operator()() {
+      if (resume) {
+        resume.resume();
+      } else {
+        fn();
+      }
+    }
+  };
   struct Event {
     Time t;
     std::uint64_t seq;  // tie-break: FIFO within a time slot
-    UniqueFunction fn;
+    Action action;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
@@ -101,10 +121,13 @@ class Simulation {
   };
 
   // Runs one Co<void> to completion, maintaining the live-process count.
+  // The frame is created suspended; spawn() queues its handle.
   struct DetachedTask {
-    struct promise_type {
-      DetachedTask get_return_object() { return {}; }
-      std::suspend_never initial_suspend() noexcept { return {}; }
+    struct promise_type : detail::PooledFrame {
+      DetachedTask get_return_object() {
+        return {std::coroutine_handle<promise_type>::from_promise(*this)};
+      }
+      std::suspend_always initial_suspend() noexcept { return {}; }
       std::suspend_never final_suspend() noexcept { return {}; }
       void return_void() {}
       void unhandled_exception() {
@@ -114,10 +137,23 @@ class Simulation {
         std::terminate();
       }
     };
+    std::coroutine_handle<promise_type> handle;
   };
   DetachedTask drive(Co<void> co);
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  void push(Time t, Action action);
+  Event pop_earliest();
+  std::uint64_t drain(Time limit);
+
+  // Events are totally ordered by (t, seq). Events due later than now_ wait
+  // in the heap. Events due at now_ go to the FIFO lane instead: every heap
+  // event for now_ was pushed before the clock got here, so it has a lower
+  // seq than anything in the lane and the loop runs those first.
+  std::vector<Event> heap_;
+  Fifo<Action> lane_;
+  // Driver frames of spawned processes that have not started, in spawn
+  // order. Spawns go through the lane, which starts them in that order.
+  Fifo<std::coroutine_handle<>> unstarted_;
   const std::thread::id owner_ = std::this_thread::get_id();
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 
 #include "sim/simulation.hpp"
@@ -30,7 +29,7 @@ class Trigger {
   void fire() {
     if (fired_) return;
     fired_ = true;
-    for (auto h : waiters_) sim_->schedule_in(0, [h] { h.resume(); });
+    for (auto h : waiters_) sim_->resume_in(0, h);
     waiters_.clear();
   }
 
@@ -47,7 +46,7 @@ class Trigger {
  private:
   Simulation* sim_;
   bool fired_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 /// Counting semaphore with FIFO waiters. Supports weighted acquire, which
@@ -105,16 +104,15 @@ class Semaphore {
 
   void wake_ready() {
     while (!waiters_.empty() && count_ >= waiters_.front().n) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+      Waiter w = waiters_.pop_front();
       count_ -= w.n;
-      sim_->schedule_in(0, [h = w.h] { h.resume(); });
+      sim_->resume_in(0, w.h);
     }
   }
 
   Simulation* sim_;
   std::int64_t count_;
-  std::deque<Waiter> waiters_;
+  Fifo<Waiter> waiters_;
 };
 
 /// FIFO mutex built for coroutines. `co_await m.lock();` ... `m.unlock();`
@@ -198,8 +196,7 @@ class Channel {
   /// Non-suspending receive.
   std::optional<T> try_recv() {
     if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
+    T v = items_.pop_front();
     admit_parked_sender();
     return v;
   }
@@ -208,9 +205,7 @@ class Channel {
   /// Items already queued can still be received.
   void close() {
     closed_ = true;
-    for (auto& w : recv_waiters_) {
-      sim_->schedule_in(0, [h = w->h] { h.resume(); });
-    }
+    for (RecvAwaiter* w : recv_waiters_) sim_->resume_in(0, w->h);
     recv_waiters_.clear();
   }
 
@@ -222,8 +217,7 @@ class Channel {
 
     bool await_ready() noexcept {
       if (!ch->items_.empty()) {
-        value = std::move(ch->items_.front());
-        ch->items_.pop_front();
+        value = ch->items_.pop_front();
         ch->admit_parked_sender();
         return true;
       }
@@ -262,10 +256,9 @@ class Channel {
 
   void push(T value) {
     if (!recv_waiters_.empty()) {
-      RecvAwaiter* w = recv_waiters_.front();
-      recv_waiters_.pop_front();
+      RecvAwaiter* w = recv_waiters_.pop_front();
       w->value = std::move(value);  // direct handoff, bypasses the queue
-      sim_->schedule_in(0, [h = w->h] { h.resume(); });
+      sim_->resume_in(0, w->h);
       return;
     }
     items_.push_back(std::move(value));
@@ -273,19 +266,18 @@ class Channel {
 
   void admit_parked_sender() {
     if (!send_waiters_.empty() && can_push()) {
-      SendWaiter w = std::move(send_waiters_.front());
-      send_waiters_.pop_front();
+      SendWaiter w = send_waiters_.pop_front();
       push(std::move(w.value));
-      sim_->schedule_in(0, [h = w.h] { h.resume(); });
+      sim_->resume_in(0, w.h);
     }
   }
 
   Simulation* sim_;
   std::size_t capacity_;
   bool closed_ = false;
-  std::deque<T> items_;
-  std::deque<SendWaiter> send_waiters_;
-  std::deque<RecvAwaiter*> recv_waiters_;
+  Fifo<T> items_;
+  Fifo<SendWaiter> send_waiters_;
+  Fifo<RecvAwaiter*> recv_waiters_;
 };
 
 }  // namespace gflink::sim

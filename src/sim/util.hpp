@@ -1,6 +1,7 @@
 // Small shared utilities for the simulation substrate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace gflink::sim {
 
@@ -66,6 +68,51 @@ class UniqueFunction {
     F fn;
   };
   std::unique_ptr<Concept> impl_;
+};
+
+/// FIFO queue on one vector with a head index. Unlike a deque it
+/// allocates nothing until the first push, and a queue that drains to empty
+/// reuses its buffer from the start. Popped slots are reclaimed by moving
+/// the live tail to the front when a push would otherwise grow the buffer
+/// and at least half of it is dead, so push and pop stay amortized O(1).
+template <typename T>
+class Fifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+
+  T& front() {
+    GFLINK_CHECK(!empty());
+    return items_[head_];
+  }
+
+  void push_back(T value) {
+    if (items_.size() == items_.capacity() && head_ > 0 && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    items_.push_back(std::move(value));
+  }
+
+  /// Remove and return the front element.
+  T pop_front() {
+    T value = std::move(front());
+    if (++head_ == items_.size()) clear();
+    return value;
+  }
+
+  /// Drop every element; the buffer is kept for reuse.
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+  auto begin() { return items_.begin() + static_cast<std::ptrdiff_t>(head_); }
+  auto end() { return items_.end(); }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace gflink::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,17 @@
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/trace.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define GFLINK_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define GFLINK_TEST_ASAN 1
+#endif
+#endif
+#if defined(GFLINK_TEST_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace sim = gflink::sim;
 using sim::Co;
@@ -174,6 +186,125 @@ TEST(SimulationDeathTest, ScheduleFromForeignThreadAborts) {
         foreign.join();
       },
       "Simulation used from a thread other than its owner");
+}
+
+// Events are totally ordered by (t, seq). An event scheduled for t before
+// the clock reached t must run before anything scheduled at t while t is
+// being processed, and a process resumed at t queues behind both, under
+// run() and run_until() alike.
+TEST(Simulation, EarlierScheduledEventsLeadTheirTimeSlot) {
+  for (const bool until : {false, true}) {
+    SCOPED_TRACE(until ? "run_until" : "run");
+    Simulation s;
+    std::vector<int> order;
+    s.schedule_in(10, [&] {
+      order.push_back(1);
+      s.schedule_in(0, [&] { order.push_back(5); });
+    });
+    s.schedule_in(10, [&] {
+      order.push_back(2);
+      s.schedule_in(0, [&] { order.push_back(6); });
+    });
+    s.schedule_in(10, [&] { order.push_back(3); });
+    s.schedule_in(20, [&] { order.push_back(8); });
+    // Spawned at 0 after the events above, so its wake-up at 10 comes after
+    // theirs; its yield then queues behind the two events scheduled at 10.
+    s.spawn([](Simulation& sim, std::vector<int>& out) -> Co<void> {
+      co_await sim.delay(10);
+      out.push_back(4);
+      co_await sim.yield();
+      out.push_back(7);
+    }(s, order));
+    if (until) {
+      // spawn start, 1, 2, 3, wake-up (4), 5, 6, yield (7)
+      EXPECT_EQ(s.run_until(10), 8u);
+      EXPECT_EQ(s.now(), 10);
+      EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+    }
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(s.events_processed(), 9u);
+    EXPECT_EQ(s.now(), 20);
+    EXPECT_EQ(s.live_processes(), 0);
+  }
+}
+
+// A spawned process that never ran is freed with its Simulation: its
+// arguments are destroyed and it never counted as live.
+TEST(Simulation, SpawnWithoutRunFreesTheProcess) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulation s;
+    s.spawn([](std::shared_ptr<int> t) -> Co<void> {
+      ++*t;
+      co_return;
+    }(token));
+    s.spawn([](Simulation& sim, std::shared_ptr<int> t) -> Co<void> {
+      co_await sim.delay(5);
+      ++*t;
+    }(s, token));
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_EQ(s.live_processes(), 0);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 0);
+}
+
+TEST(Fifo, InterleavedPushPopKeepsOrderAcrossCompaction) {
+  sim::Fifo<int> q;
+  EXPECT_TRUE(q.empty());
+  int next_in = 0;
+  int next_out = 0;
+  // Two pushes per pop: the live part keeps growing while the dead prefix
+  // is compacted away whenever a push would grow the buffer.
+  for (int round = 0; round < 1000; ++round) {
+    q.push_back(next_in++);
+    q.push_back(next_in++);
+    EXPECT_EQ(q.pop_front(), next_out++);
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+  }
+  int seen = next_out;
+  for (int v : q) EXPECT_EQ(v, seen++);
+  while (!q.empty()) EXPECT_EQ(q.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+  // A drained queue starts over from the front of its buffer.
+  q.push_back(7);
+  EXPECT_EQ(q.front(), 7);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(Fifo, HoldsMoveOnlyValues) {
+  sim::Fifo<std::unique_ptr<int>> q;
+  for (int i = 0; i < 100; ++i) {
+    q.push_back(std::make_unique<int>(i));
+    if (i % 3 == 2) {
+      EXPECT_EQ(*q.pop_front(), i / 3);
+    }
+  }
+  int expect = 100 / 3;
+  while (!q.empty()) EXPECT_EQ(*q.pop_front(), expect++);
+  EXPECT_EQ(expect, 100);
+}
+
+// Coroutine frames are recycled per 64-byte size class: the frame freed
+// last is the next one its class hands out, other classes do not see it,
+// and (under ASan) a frame sitting on the free list is poisoned.
+TEST(FramePool, RecyclesFramesWithinASizeClass) {
+  void* a = sim::detail::frame_alloc(100);
+  sim::detail::frame_free(a, 100);
+#if defined(GFLINK_TEST_ASAN)
+  EXPECT_TRUE(__asan_address_is_poisoned(a));
+#endif
+  void* other = sim::detail::frame_alloc(200);
+  EXPECT_NE(other, a);
+  void* b = sim::detail::frame_alloc(128);  // same class as 100 bytes
+  EXPECT_EQ(b, a);
+#if defined(GFLINK_TEST_ASAN)
+  EXPECT_FALSE(__asan_address_is_poisoned(b));
+#endif
+  sim::detail::frame_free(b, 128);
+  sim::detail::frame_free(other, 200);
 }
 
 TEST(Trigger, WakesAllWaitersOnceFired) {
