@@ -31,7 +31,8 @@ inline std::string bench_report_path(const std::string& name) {
 }
 
 /// Replacement for BENCHMARK_MAIN(): run the benchmarks, then write the
-/// accumulated run report. A failed report write warns but does not fail
+/// accumulated run report, with the derived GFlink ratios when the cases
+/// touched a GPU or GStream. A failed report write warns but does not fail
 /// the bench.
 inline int bench_main(int argc, char** argv, const char* name) {
   const auto wall_begin = std::chrono::steady_clock::now();
@@ -44,7 +45,9 @@ inline int bench_main(int argc, char** argv, const char* name) {
   rep.name = name;
   rep.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();
-  obs::add_derived_gflink_metrics(rep.metrics);
+  // A bench that never ran a GPU or GStream (bench_host) has no cache,
+  // locality or overlap to report; deriving would print zeros as measured.
+  if (obs::has_gflink_counters(rep.metrics)) obs::add_derived_gflink_metrics(rep.metrics);
   const std::string path = bench_report_path(name);
   if (rep.write(path)) {
     std::printf("run report: %s\n", path.c_str());

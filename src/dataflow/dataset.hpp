@@ -142,20 +142,32 @@ class DataSet {
   }
 
   /// Combine records sharing a key (map-side combine + hash shuffle +
-  /// reduce-side merge). `combine` folds the right record into the left.
-  DataSet reduce_by_key(std::string name, OpCost cost, std::function<std::uint64_t(const T&)> key,
-                        std::function<void(T&, const T&)> combine) const {
+  /// reduce-side merge). `key(const T&) -> uint64` picks the key and
+  /// `combine(T&, const T&)` folds the right record into the left; both are
+  /// template parameters, inlined into one typed combine loop per batch
+  /// (shuffle::combine_by_key) that serves both sides of the exchange.
+  template <typename K, typename C>
+  DataSet reduce_by_key(std::string name, OpCost cost, K key, C combine) const {
     auto n = std::make_shared<OpNode>();
     n->kind = OpKind::ReduceByKey;
     n->name = std::move(name);
     n->out_desc = node_->out_desc;
     n->cost = cost;
     n->input = node_;
-    n->key_fn = [key = std::move(key)](const std::byte* rec) {
-      return key(*reinterpret_cast<const T*>(rec));
-    };
-    n->combine_fn = [combine = std::move(combine)](std::byte* acc, const std::byte* rec) {
-      combine(*reinterpret_cast<T*>(acc), *reinterpret_cast<const T*>(rec));
+    n->keyed_combine = [key = std::move(key), combine = std::move(combine)](
+                           std::span<const mem::RecordBatch> in,
+                           shuffle::CombineScratch& scratch,
+                           std::span<mem::RecordBatch> buckets) mutable {
+      GFLINK_CHECK_MSG(!buckets.empty() && buckets.front().desc().matches_host_layout<T>(),
+                       "descriptor does not match host layout");
+      shuffle::combine_by_key(
+          in, scratch, buckets,
+          [&key](const std::byte* rec) {
+            return static_cast<std::uint64_t>(key(*reinterpret_cast<const T*>(rec)));
+          },
+          [&combine](std::byte* acc, const std::byte* rec) {
+            combine(*reinterpret_cast<T*>(acc), *reinterpret_cast<const T*>(rec));
+          });
     };
     return DataSet(engine_, std::move(n));
   }
@@ -192,7 +204,8 @@ class DataSet {
   }
 
   /// Reduce everything to one record (key = constant).
-  DataSet reduce(std::string name, OpCost cost, std::function<void(T&, const T&)> combine) const {
+  template <typename C>
+  DataSet reduce(std::string name, OpCost cost, C combine) const {
     return reduce_by_key(std::move(name), cost, [](const T&) { return std::uint64_t{0}; },
                          std::move(combine));
   }
@@ -233,8 +246,8 @@ class DataSet {
 
   /// Keep one record per key (Flink's distinct). The kept record is the
   /// first seen in partition order.
-  DataSet distinct(std::string name, OpCost cost,
-                   std::function<std::uint64_t(const T&)> key) const {
+  template <typename K>
+  DataSet distinct(std::string name, OpCost cost, K key) const {
     return reduce_by_key(std::move(name), cost, std::move(key),
                          [](T&, const T&) { /* keep the first */ });
   }

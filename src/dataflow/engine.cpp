@@ -6,8 +6,6 @@
 
 #include <map>
 
-#include "mem/key_index.hpp"
-
 namespace gflink::dataflow {
 
 namespace {
@@ -331,19 +329,10 @@ sim::Co<std::shared_ptr<mem::RecordBatch>> Engine::apply_record_ops(
   co_return cur;
 }
 
-mem::RecordBatch Engine::combine_by_key(const OpNode& reduce, const mem::RecordBatch& in) {
+mem::RecordBatch Engine::combine_by_key(const OpNode& reduce,
+                                        std::span<const mem::RecordBatch> batches) {
   mem::RecordBatch acc(reduce.out_desc);
-  mem::KeyIndex index;
-  for (std::size_t i = 0; i < in.count(); ++i) {
-    const std::byte* rec = in.record_ptr(i);
-    const auto [at, inserted] =
-        index.try_emplace(reduce.key_fn(rec), [&] { return mem::KeySlot::at(0, acc.count()); });
-    if (inserted) {
-      acc.append_raw(rec);
-    } else {
-      reduce.combine_fn(acc.record_ptr(at.slot), rec);
-    }
-  }
+  reduce.keyed_combine(batches, shuffle_.combine_scratch(), std::span(&acc, 1));
   return acc;
 }
 
@@ -397,9 +386,9 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
     co_await terminal->async_fn(ctx, *batch, *result);
     out.parts[static_cast<std::size_t>(part_index)] = {worker, std::move(result)};
   } else if (terminal->kind == OpKind::ReduceByKey) {
-    // Map-side combine + bucketing in one pass over the input records.
-    std::vector<mem::RecordBatch> buckets = exchange->partition(
-        *batch, terminal->out_desc, terminal->key_fn, &terminal->combine_fn);
+    // Map-side combine: fold the batch by key, then bucket the results.
+    std::vector<mem::RecordBatch> buckets = exchange->empty_buckets(terminal->out_desc);
+    terminal->keyed_combine(std::span(batch.get(), 1), shuffle_.combine_scratch(), buckets);
     // Failure point: nothing has been sent through the exchange yet, so
     // a retry of this task is idempotent.
     co_await work_delay(worker, static_cast<sim::Duration>(batch->count()) *
@@ -420,9 +409,7 @@ sim::Co<void> Engine::stage_task(Job& job, const Stage& stage, int part_index,
   } else if (terminal->kind == OpKind::Rebalance) {
     co_await sim_.delay(static_cast<sim::Duration>(batch->count()) *
                         node.record_time(2.0, static_cast<double>(batch->desc().stride())));
-    std::vector<mem::RecordBatch> buckets;
-    buckets.reserve(static_cast<std::size_t>(out_partitions));
-    for (int t = 0; t < out_partitions; ++t) buckets.emplace_back(terminal->out_desc);
+    std::vector<mem::RecordBatch> buckets = exchange->empty_buckets(terminal->out_desc);
     for (std::size_t i = 0; i < batch->count(); ++i) {
       buckets[i % static_cast<std::size_t>(out_partitions)].append_raw(batch->record_ptr(i));
     }
@@ -599,11 +586,7 @@ sim::Co<DataHandle> Engine::run_stage(Job& job, const Stage& stage, DataHandle i
               static_cast<sim::Duration>(n_in + merged->count()) *
               eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));
         } else if (term->kind == OpKind::ReduceByKey) {
-          mem::RecordBatch all(term->out_desc);
-          for (const auto& b : deposited) {
-            if (!b.empty()) all.append_raw(b.record_ptr(0), b.count());
-          }
-          *merged = Engine::combine_by_key(*term, all);
+          *merged = eng.combine_by_key(*term, deposited);
           co_await eng.sim().delay(
               static_cast<sim::Duration>(n) *
               eng.cluster().node(node).record_time(term->cost.flops, term->cost.bytes));

@@ -297,10 +297,12 @@ class Engine {
   /// metadata (partitions stay where they are; Flink's union is also free).
   DataHandle union_of(const DataHandle& a, const DataHandle& b) const;
 
-  /// Local combine of `batch` into per-key accumulators: `reduce`'s
-  /// combine_fn folds each record into the first record seen with its key,
-  /// and the accumulators keep first-occurrence order.
-  static mem::RecordBatch combine_by_key(const OpNode& reduce, const mem::RecordBatch& batch);
+  /// Local combine of `batches`, in order, into per-key accumulators (the
+  /// reduce-side merge): `reduce`'s keyed combine runs with one bucket over
+  /// the shuffle service's scratch, folding each record into the
+  /// first record seen with its key; the accumulators keep first-occurrence
+  /// order.
+  mem::RecordBatch combine_by_key(const OpNode& reduce, std::span<const mem::RecordBatch> batches);
 
   /// Send `bytes` from the master to every worker (broadcast variables,
   /// e.g. the KMeans centers each superstep).

@@ -47,8 +47,8 @@ struct OpNode {
   BatchFn record_fn;           // Record
   BatchFn partition_fn;        // MapPartition
   AsyncPartitionFn async_fn;   // AsyncPartition
-  KeyFn key_fn;                // ReduceByKey / GroupReduce
-  CombineFn combine_fn;        // ReduceByKey
+  KeyFn key_fn;                // GroupReduce
+  KeyedCombineFn keyed_combine;  // ReduceByKey
   GroupFn group_fn;            // GroupReduce
   /// Output size hint for partition ops: expected output records per input
   /// record (used to pre-reserve; purely an optimization hint).

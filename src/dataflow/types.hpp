@@ -6,9 +6,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "mem/record_batch.hpp"
 #include "sim/coro.hpp"
+
+namespace gflink::shuffle {
+struct CombineScratch;
+}  // namespace gflink::shuffle
 
 namespace gflink::dataflow {
 
@@ -28,6 +33,15 @@ using KeyFn = std::function<std::uint64_t(const std::byte* record)>;
 /// In-place associative combine: fold `record` into `accumulator`.
 /// Both sides use the operator's record descriptor.
 using CombineFn = std::function<void(std::byte* accumulator, const std::byte* record)>;
+
+/// Keyed combine (reduceByKey), compiled once per operator with the user's
+/// key and combine functions inlined: folds the records of `in`, batch after
+/// batch, into the empty `buckets` through `scratch` — the map side with one
+/// bucket per target partition, the reduce-side merge with one bucket (see
+/// shuffle::combine_by_key).
+using KeyedCombineFn = std::function<void(std::span<const mem::RecordBatch> in,
+                                          shuffle::CombineScratch& scratch,
+                                          std::span<mem::RecordBatch> buckets)>;
 
 /// General (non-associative) group function: receives every record of one
 /// key and emits any number of output records (Flink's groupReduce).

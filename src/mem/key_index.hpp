@@ -1,14 +1,17 @@
-// KeyIndex: the flat key -> accumulator-slot index behind map-side combine.
+// KeyIndex: the flat key -> accumulator-slot index behind keyed combine.
 //
-// Both combine sites (ShuffleSession::partition and Engine::combine_by_key)
-// fold every record into the first record seen with its key. This index
-// records where that first record lives — (bucket, slot) — in one
+// The one keyed combine loop (shuffle::combine_by_key — map-side combine
+// and the reduce-side merge) folds every record into the first record seen
+// with its key. This index numbers the keys in first-occurrence order —
+// the n-th new key gets slot n, where its accumulator lives — in one
 // open-addressing table with linear probing, instead of one node-based
 // hash map per bucket. Every 64-bit key is valid (WordCount pads with
-// ~0ULL, and 0 is a real word id): a free entry is marked by its bucket,
-// not its key. The table starts small and doubles at 50% load, so a
-// 10-key KMeans batch stays tiny however many records it folds. It is
-// never iterated, so its layout cannot leak into record order.
+// ~0ULL, and 0 is a real word id): a free entry is marked by its slot, not
+// its key. The table doubles at 50% load and is reused across combines:
+// clear() frees only the entries that were filled and keeps the capacity,
+// so a combine after the first grows the table only when it sees more keys
+// than any combine before it. Its layout never leaks into record order:
+// slots count first occurrences, whatever the table positions.
 #pragma once
 
 #include <cstddef>
@@ -20,43 +23,37 @@
 
 namespace gflink::mem {
 
-/// Where a key's accumulator record lives: record `slot` of bucket `bucket`.
-struct KeySlot {
-  std::uint32_t bucket = 0;
-  std::uint32_t slot = 0;
-
-  /// Narrowing constructor; both indices must fit (the all-ones bucket is
-  /// the index's free marker).
-  static KeySlot at(std::size_t bucket, std::size_t slot) {
-    GFLINK_CHECK(bucket < 0xFFFFFFFFu && slot <= 0xFFFFFFFFu);
-    return KeySlot{static_cast<std::uint32_t>(bucket), static_cast<std::uint32_t>(slot)};
-  }
-};
-
 class KeyIndex {
  public:
   KeyIndex() : entries_(kInitialCapacity) {}
 
-  /// The slot recorded for `key` and false; or, when `key` is new, record
-  /// `make()` (a KeySlot) for it and return that and true. `make` runs only
-  /// on a miss, so callers can defer work such as picking the bucket.
-  template <typename Make>
-  std::pair<KeySlot, bool> try_emplace(std::uint64_t key, Make&& make) {
+  /// The slot of `key` and false; or, when `key` is new, give it the next
+  /// slot (size() before the call) and return that and true.
+  std::pair<std::uint32_t, bool> insert(std::uint64_t key) {
     for (std::size_t i = home(key);; i = (i + 1) & mask()) {
       Entry& e = entries_[i];
-      if (e.bucket == kFree) {
-        if (2 * (size_ + 1) > entries_.size()) {
+      if (e.slot == kFree) {
+        if (2 * (used_.size() + 1) > entries_.size()) {
           grow();
-          return try_emplace(key, std::forward<Make>(make));
+          return insert(key);
         }
-        const KeySlot slot = make();
-        e = Entry{key, slot.bucket, slot.slot};
-        ++size_;
-        return {slot, true};
+        e = Entry{key, static_cast<std::uint32_t>(used_.size())};
+        used_.push_back(static_cast<std::uint32_t>(i));
+        return {e.slot, true};
       }
-      if (e.key == key) return {KeySlot{e.bucket, e.slot}, false};
+      if (e.key == key) return {e.slot, false};
     }
   }
+
+  /// Forget every key and keep the capacity. Costs one store per key
+  /// inserted since the last clear, not one per entry of the table.
+  void clear() {
+    for (const std::uint32_t i : used_) entries_[i].slot = kFree;
+    used_.clear();
+  }
+
+  std::size_t size() const { return used_.size(); }
+  std::size_t capacity() const { return entries_.size(); }
 
  private:
   static constexpr std::uint32_t kFree = ~std::uint32_t{0};
@@ -64,8 +61,7 @@ class KeyIndex {
 
   struct Entry {
     std::uint64_t key = 0;
-    std::uint32_t bucket = kFree;
-    std::uint32_t slot = 0;
+    std::uint32_t slot = kFree;
   };
 
   std::size_t mask() const { return entries_.size() - 1; }
@@ -76,20 +72,26 @@ class KeyIndex {
   }
 
   void grow() {
+    // Positions and slots are 32-bit; at 50% load a 2^32-entry table holds
+    // fewer keys than the free marker.
+    GFLINK_CHECK(entries_.size() <= 0x80000000u);
     std::vector<Entry> old(entries_.size() * 2);
     old.swap(entries_);
     --shift_;
-    for (const Entry& e : old) {
-      if (e.bucket == kFree) continue;
+    for (std::uint32_t& pos : used_) {
+      const Entry& e = old[pos];
       std::size_t i = home(e.key);
-      while (entries_[i].bucket != kFree) i = (i + 1) & mask();
+      while (entries_[i].slot != kFree) i = (i + 1) & mask();
       entries_[i] = e;
+      pos = static_cast<std::uint32_t>(i);
     }
   }
 
   std::vector<Entry> entries_;
   int shift_ = 60;  // 64 - log2(capacity)
-  std::size_t size_ = 0;
+  /// Table position of each key, by slot: what clear() resets and grow()
+  /// rehashes.
+  std::vector<std::uint32_t> used_;
 };
 
 }  // namespace gflink::mem

@@ -72,4 +72,11 @@ void add_derived_gflink_metrics(MetricsRegistry& m) {
   m.gauge("copy_compute_overlap_efficiency").set(hideable > 0 ? overlap / hideable : 0.0);
 }
 
+bool has_gflink_counters(const MetricsRegistry& m) {
+  return std::any_of(m.counters().begin(), m.counters().end(), [](const auto& entry) {
+    const std::string& name = entry.first.name;
+    return name.starts_with("gpu_") || name.starts_with("gstream_");
+  });
+}
+
 }  // namespace gflink::obs

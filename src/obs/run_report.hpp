@@ -56,4 +56,9 @@ struct RunReport {
 /// cache_hit_ratio and locality_hit_ratio gauges.
 void add_derived_gflink_metrics(MetricsRegistry& m);
 
+/// Whether `m` holds a GPU or GStream counter (a `gpu_*` or `gstream_*`
+/// series). Only then are the ratios add_derived_gflink_metrics derives
+/// measured; in a run without either they read 0 for "not applicable".
+bool has_gflink_counters(const MetricsRegistry& m);
+
 }  // namespace gflink::obs

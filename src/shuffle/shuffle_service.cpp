@@ -2,21 +2,7 @@
 
 #include <algorithm>
 
-#include "mem/key_index.hpp"
-#include "sim/random.hpp"
-
 namespace gflink::shuffle {
-
-namespace {
-
-/// Spread shuffle keys over target partitions. The raw key is often a small
-/// integer (word id, page id), so mix it first.
-int target_partition(std::uint64_t key, int partitions) {
-  std::uint64_t s = key;
-  return static_cast<int>(sim::splitmix64(s) % static_cast<std::uint64_t>(partitions));
-}
-
-}  // namespace
 
 const char* shuffle_mode_name(ShuffleMode mode) {
   switch (mode) {
@@ -56,6 +42,14 @@ void ShuffleService::sub_resident(int worker, std::uint64_t bytes) {
   auto& r = resident_.at(static_cast<std::size_t>(worker));
   GFLINK_CHECK_MSG(r >= bytes, "exchange resident-byte accounting went negative");
   r -= bytes;
+}
+
+obs::Counter& ShuffleService::counter(const char* name) {
+  for (const auto& [key, handle] : counters_) {
+    if (key == name) return *handle;
+  }
+  counters_.emplace_back(name, &metrics().counter(name));
+  return *counters_.back().second;
 }
 
 void ShuffleService::block_started() {
@@ -149,31 +143,20 @@ ShuffleSession::~ShuffleSession() {
   GFLINK_CHECK_MSG(in_flight_sends_ == 0, "shuffle session destroyed with in-flight sends");
 }
 
+std::vector<mem::RecordBatch> ShuffleSession::empty_buckets(const mem::StructDesc* desc) const {
+  std::vector<mem::RecordBatch> buckets;
+  buckets.reserve(static_cast<std::size_t>(out_partitions_));
+  for (int t = 0; t < out_partitions_; ++t) buckets.emplace_back(desc);
+  return buckets;
+}
+
 std::vector<mem::RecordBatch> ShuffleSession::partition(const mem::RecordBatch& in,
                                                         const mem::StructDesc* out_desc,
                                                         const KeyFn& key,
                                                         const CombineFn* combiner) const {
-  std::vector<mem::RecordBatch> buckets;
-  buckets.reserve(static_cast<std::size_t>(out_partitions_));
-  for (int t = 0; t < out_partitions_; ++t) buckets.emplace_back(out_desc);
+  std::vector<mem::RecordBatch> buckets = empty_buckets(out_desc);
   if (combiner != nullptr) {
-    // Map-side combine: one flat index from each key to its accumulator
-    // record, preserving first-occurrence order per bucket (deterministic).
-    // A hit skips the partition hash; only a new key picks its bucket.
-    mem::KeyIndex index;
-    for (std::size_t i = 0; i < in.count(); ++i) {
-      const std::byte* rec = in.record_ptr(i);
-      const std::uint64_t k = key(rec);
-      const auto [at, inserted] = index.try_emplace(k, [&] {
-        const auto t = static_cast<std::size_t>(target_partition(k, out_partitions_));
-        return mem::KeySlot::at(t, buckets[t].count());
-      });
-      if (inserted) {
-        buckets[at.bucket].append_raw(rec);
-      } else {
-        (*combiner)(buckets[at.bucket].record_ptr(at.slot), rec);
-      }
-    }
+    combine_by_key(std::span(&in, 1), service_->combine_scratch(), buckets, key, *combiner);
   } else {
     for (std::size_t i = 0; i < in.count(); ++i) {
       const std::byte* rec = in.record_ptr(i);
@@ -252,8 +235,8 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
           s.service_->block_finished();
           cr.release();
           if (sent) {
-            s.service_->metrics().inc("shuffle.blocks");
-            s.service_->metrics().inc("shuffle.bytes", static_cast<double>(nbytes));
+            s.service_->counter("shuffle.blocks").inc();
+            s.service_->counter("shuffle.bytes").inc(static_cast<double>(nbytes));
           } else {
             all_ok = false;
           }
@@ -283,8 +266,8 @@ sim::Co<void> ShuffleSession::send_bucket(int src, int t, mem::RecordBatch bucke
         service_->block_finished();
         credit.release();
         if (ok) {
-          m.inc("shuffle.blocks");
-          m.inc("shuffle.bytes", static_cast<double>(n));
+          service_->counter("shuffle.blocks").inc();
+          service_->counter("shuffle.bytes").inc(static_cast<double>(n));
           remaining -= n;
         }
       }
@@ -363,7 +346,6 @@ sim::Co<void> ShuffleSession::one_sided_bucket(int src, int t, std::uint64_t off
                                                mem::RecordBatch bucket) {
   const int dst = service_->owner_of(t);
   const std::uint64_t bytes = bucket.byte_size();
-  obs::MetricsRegistry& m = service_->metrics();
   const sim::Time begin = service_->sim().now();
   bool ok = true;
   if (dst != src && bytes > 0) {
@@ -377,8 +359,8 @@ sim::Co<void> ShuffleSession::one_sided_bucket(int src, int t, std::uint64_t off
                                             {write_span, obs::SpanCategory::Shuffle});
     service_->block_finished();
     if (ok) {
-      m.inc("shuffle.one_sided_writes");
-      m.inc("shuffle.one_sided_bytes", static_cast<double>(bytes));
+      service_->counter("shuffle.one_sided_writes").inc();
+      service_->counter("shuffle.one_sided_bytes").inc(static_cast<double>(bytes));
     }
     // Completion signal: bump the destination's done counter whether the
     // write landed or aborted — the barrier counts retired attempts (an
@@ -441,8 +423,8 @@ sim::Co<void> ShuffleSession::deposit(int t, int dst, mem::RecordBatch bucket) {
     auto acct = spill_acct_;
     auto* service = service_;
     std::function<void()> on_landed = [service, acct, bytes] {
-      service->metrics().inc("shuffle.spill_blocks");
-      service->metrics().inc("shuffle.spill_bytes", static_cast<double>(bytes));
+      service->counter("shuffle.spill_blocks").inc();
+      service->counter("shuffle.spill_bytes").inc(static_cast<double>(bytes));
       *acct += bytes;
     };
     if (cfg.spill_async) {
@@ -494,7 +476,7 @@ sim::Co<std::vector<mem::RecordBatch>> ShuffleSession::take(int t, int reader,
   for (Deposit& d : deposited) {
     const std::uint64_t bytes = d.batch.byte_size();
     if (d.spilled) {
-      service_->metrics().inc("shuffle.unspill_bytes", static_cast<double>(bytes));
+      service_->counter("shuffle.unspill_bytes").inc(static_cast<double>(bytes));
       if (d.spill_block) {
         // Async path: the fetch waits for the block to land if the worker
         // is still writing it (write-behind consistency), pays the tier

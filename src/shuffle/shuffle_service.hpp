@@ -43,14 +43,19 @@
 // sequence diagrams for all three modes.
 #pragma once
 
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dfs/gdfs.hpp"
+#include "mem/key_index.hpp"
 #include "mem/record_batch.hpp"
 #include "net/cluster.hpp"
+#include "sim/random.hpp"
 #include "sim/sync.hpp"
 #include "spill/spill_store.hpp"
 
@@ -61,6 +66,90 @@ namespace gflink::shuffle {
 using KeyFn = std::function<std::uint64_t(const std::byte*)>;
 /// In-place associative combine: fold `record` into `accumulator`.
 using CombineFn = std::function<void(std::byte*, const std::byte*)>;
+
+/// Spread shuffle keys over target partitions. The raw key is often a small
+/// integer (word id, page id), so mix it first.
+inline int target_partition(std::uint64_t key, int partitions) {
+  std::uint64_t s = key;
+  return static_cast<int>(sim::splitmix64(s) % static_cast<std::uint64_t>(partitions));
+}
+
+/// What a keyed combine reuses from the one before it, so that no combine
+/// builds a key index or grows an accumulator buffer from scratch.
+struct CombineScratch {
+  mem::KeyIndex keys;                   // key -> accumulator slot
+  std::vector<std::byte> accumulators;  // one record per slot
+  std::vector<std::uint32_t> targets;   // each slot's bucket
+};
+
+/// The one keyed combine loop, behind map-side combine (one bucket per
+/// target partition) and the reduce-side merge (one bucket). Folds the
+/// records of `in`, batch after batch: the first record of each key
+/// becomes its accumulator, bound for bucket target_partition(key,
+/// buckets.size()), and every later record with that key is folded into
+/// it by `combine(acc, rec)`. The accumulators then fill the (empty)
+/// buckets at their exact size, each bucket in first-occurrence order.
+/// Combines run in input order, so the result is byte-identical to a
+/// per-record ordered-map fold of the concatenated input. `key(const
+/// std::byte*) -> uint64` and `combine(std::byte*, const std::byte*)` are
+/// template parameters, so a typed caller (DataSet::reduce_by_key) inlines
+/// them into the loop. Every batch must share the buckets' record stride.
+template <typename Key, typename Combine>
+void combine_by_key(std::span<const mem::RecordBatch> in, CombineScratch& scratch,
+                    std::span<mem::RecordBatch> buckets, Key&& key, Combine&& combine) {
+  GFLINK_CHECK(!buckets.empty());
+  const std::size_t stride = buckets.front().desc().stride();
+  for (const mem::RecordBatch& bucket : buckets) {
+    GFLINK_CHECK(bucket.empty() && bucket.layout() == mem::Layout::AoS &&
+                 bucket.desc().stride() == stride);
+  }
+  std::size_t records = 0;
+  for (const mem::RecordBatch& batch : in) records += batch.count();
+  // Every record may carry a new key: size the accumulators for that once,
+  // so the loop below never grows a buffer.
+  if (scratch.accumulators.size() < records * stride) {
+    scratch.accumulators.resize(records * stride);
+  }
+  if (scratch.targets.size() < records) scratch.targets.resize(records);
+  scratch.keys.clear();
+  const int partitions = static_cast<int>(buckets.size());
+  std::byte* const acc = scratch.accumulators.data();
+  std::uint32_t* const targets = scratch.targets.data();
+  std::vector<std::size_t> sizes(buckets.size(), 0);
+  for (const mem::RecordBatch& batch : in) {
+    if (batch.empty()) continue;
+    GFLINK_CHECK(batch.layout() == mem::Layout::AoS && batch.desc().stride() == stride);
+    const std::byte* rec = batch.bytes().data();
+    for (std::size_t i = 0; i < batch.count(); ++i, rec += stride) {
+      const std::uint64_t k = key(rec);
+      const auto [slot, inserted] = scratch.keys.insert(k);
+      if (inserted) {
+        // Only a new key pays the partition hash.
+        const int t = partitions == 1 ? 0 : target_partition(k, partitions);
+        targets[slot] = static_cast<std::uint32_t>(t);
+        ++sizes[static_cast<std::size_t>(t)];
+        std::memcpy(acc + slot * stride, rec, stride);
+      } else {
+        combine(acc + slot * stride, rec);
+      }
+    }
+  }
+  std::vector<std::byte*> fill(buckets.size());
+  for (std::size_t t = 0; t < buckets.size(); ++t) {
+    buckets[t].resize(sizes[t]);
+    fill[t] = buckets[t].bytes().data();
+  }
+  const std::size_t slots = scratch.keys.size();
+  if (partitions == 1) {
+    if (slots > 0) std::memcpy(fill[0], acc, slots * stride);
+    return;
+  }
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    std::byte*& to = fill[targets[slot]];
+    std::memcpy(to, acc + slot * stride, stride);
+    to += stride;
+  }
+}
 
 /// Exchange transport (see the file comment for the three designs).
 enum class ShuffleMode { Barrier, Pipelined, OneSided };
@@ -124,10 +213,14 @@ class ShuffleSession {
   int out_partitions() const { return out_partitions_; }
   const std::string& label() const { return label_; }
 
+  /// out_partitions() empty AoS batches of `desc`, one per target partition.
+  std::vector<mem::RecordBatch> empty_buckets(const mem::StructDesc* desc) const;
+
   /// Bucket `in` into out_partitions() batches by key hash. When `combiner`
   /// is non-null, records sharing a key are folded together first (map-side
-  /// combine); the result preserves first-occurrence order, so it is
-  /// deterministic for a given input order.
+  /// combine through combine_by_key over the service's scratch); the
+  /// result preserves first-occurrence order, so it is deterministic for a
+  /// given input order.
   std::vector<mem::RecordBatch> partition(const mem::RecordBatch& in,
                                           const mem::StructDesc* out_desc, const KeyFn& key,
                                           const CombineFn* combiner) const;
@@ -254,6 +347,14 @@ class ShuffleService {
     return resident_.at(static_cast<std::size_t>(worker));
   }
 
+  /// The scratch every combine_by_key of this engine reuses, allocated on
+  /// first use. Sharing one is safe: a Simulation is confined to one thread
+  /// and a combine never suspends, so no two combines interleave.
+  CombineScratch& combine_scratch() {
+    if (!combine_scratch_) combine_scratch_ = std::make_unique<CombineScratch>();
+    return *combine_scratch_;
+  }
+
  private:
   friend class ShuffleSession;
 
@@ -267,6 +368,12 @@ class ShuffleService {
   /// with the same backoff/abort policy as transfer_block.
   sim::Co<bool> one_sided_write(int src, int dst, std::uint64_t offset, std::uint64_t bytes,
                                 const std::string& label, obs::SpanLink link = {});
+
+  /// The series `name`, resolved from the registry on its first increment
+  /// and cached: a block or spill pays no keyed registry lookup (most of
+  /// these names outgrow the small-string buffer, so a lookup allocates),
+  /// and a series no run touched never reaches an export.
+  obs::Counter& counter(const char* name);
 
   void block_started();
   void block_finished();
@@ -288,6 +395,10 @@ class ShuffleService {
   std::int64_t max_in_flight_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::vector<std::uint64_t> resident_;  // exchange bytes per node id
+  /// counter()'s cache, keyed by the address of the name literal (as in
+  /// spill::SpillStore): one entry per emission site.
+  std::vector<std::pair<const char*, obs::Counter*>> counters_;
+  std::unique_ptr<CombineScratch> combine_scratch_;  // see combine_scratch()
 };
 
 }  // namespace gflink::shuffle

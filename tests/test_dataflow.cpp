@@ -506,21 +506,15 @@ TEST(Engine, CombineByKeyMatchesOrderedMapReference) {
       expected[it->second].value += kv.value;
     }
   }
-  df::OpNode reduce;
-  reduce.out_desc = &kv_desc();
-  reduce.key_fn = [](const std::byte* rec) {
-    KV kv;
-    std::memcpy(&kv, rec, sizeof(KV));
-    return kv.key;
-  };
-  reduce.combine_fn = [](std::byte* acc, const std::byte* rec) {
-    KV a, r;
-    std::memcpy(&a, acc, sizeof(KV));
-    std::memcpy(&r, rec, sizeof(KV));
-    a.value += r.value;
-    std::memcpy(acc, &a, sizeof(KV));
-  };
-  const mem::RecordBatch out = Engine::combine_by_key(reduce, in);
+  // The reduce node as DataSet::reduce_by_key compiles it (typed key and
+  // combine inlined), merged as one bucket over the engine's scratch index.
+  Engine e(fast_config(2));
+  const df::PlanNodePtr reduce =
+      DataSet<KV>::from_generator(e, &kv_desc(), 1, [](int, std::vector<KV>&) {})
+          .reduce_by_key("sum", OpCost{}, [](const KV& kv) { return kv.key; },
+                         [](KV& acc, const KV& kv) { acc.value += kv.value; })
+          .node();
+  const mem::RecordBatch out = e.combine_by_key(*reduce, {&in, 1});
   ASSERT_EQ(out.count(), expected.size());
   ASSERT_EQ(out.bytes().size(), expected.size() * sizeof(KV));
   EXPECT_EQ(0, std::memcmp(out.bytes().data(), expected.data(), out.bytes().size()));

@@ -8,6 +8,7 @@
 
 #include "mem/buffer.hpp"
 #include "mem/gstruct.hpp"
+#include "mem/key_index.hpp"
 #include "mem/memory_manager.hpp"
 #include "mem/record_batch.hpp"
 #include "sim/simulation.hpp"
@@ -202,6 +203,48 @@ TEST(RecordBatch, AoPFieldsSeparateBuffers) {
   EXPECT_EQ(aop.field_bytes()[1].size(), 40u);
   // AoP drops AoS padding: payload only.
   EXPECT_EQ(aop.byte_size(), 60u);
+}
+
+TEST(KeyIndex, ClearForgetsKeysKeepsCapacity) {
+  mem::KeyIndex index;
+  // Before any grow: 0 and ~0ULL are ordinary keys; slots count first
+  // occurrences.
+  EXPECT_EQ(index.insert(0), std::make_pair(0u, true));
+  EXPECT_EQ(index.insert(~0ULL), std::make_pair(1u, true));
+  EXPECT_EQ(index.insert(0), std::make_pair(0u, false));
+  const std::size_t initial = index.capacity();
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.capacity(), initial);
+  EXPECT_EQ(index.insert(~0ULL), std::make_pair(0u, true));  // forgotten: numbered afresh
+  EXPECT_EQ(index.insert(0), std::make_pair(1u, true));
+
+  // After grows: strided keys collide modulo every power-of-two size.
+  index.clear();
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(index.insert(std::uint64_t{i} << 32), std::make_pair(i, true));
+  }
+  const std::size_t grown = index.capacity();
+  EXPECT_GE(grown, 2000u);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(index.insert(std::uint64_t{i} << 32), std::make_pair(i, false));
+  }
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.capacity(), grown);
+  for (std::uint32_t i = 0; i < 1000; ++i) {  // in reverse: every slot moves
+    EXPECT_EQ(index.insert(std::uint64_t{999 - i} << 32), std::make_pair(i, true));
+  }
+  EXPECT_EQ(index.capacity(), grown);  // refilling to the same size does not grow
+
+  // A clear after more grows still forgets every key, wherever grow moved it.
+  for (std::uint64_t i = 1000; i < 5000; ++i) index.insert(i << 32);
+  EXPECT_GT(index.capacity(), grown);
+  index.clear();
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    EXPECT_EQ(index.insert(std::uint64_t{i} << 32), std::make_pair(i, true));
+  }
+  EXPECT_EQ(index.size(), 5000u);
 }
 
 TEST(HBuffer, ReadWriteAndFlags) {

@@ -690,6 +690,26 @@ TEST(FlightRecorder, FirstFaultAutoDumps) {
   EXPECT_EQ(fr.events_seen(), 0u);
 }
 
+TEST(RunReport, DerivedMetricsNeedGpuOrGstreamCounters) {
+  obs::MetricsRegistry m;
+  EXPECT_FALSE(obs::has_gflink_counters(m));
+  // Host-only layers (network, shuffle, spill, engine) are not enough,
+  // and neither is a GPU gauge or a name that only contains "gpu".
+  m.inc("net.bytes", 10);
+  m.inc("shuffle.blocks");
+  m.counter("spill_offload_bytes_total", {{"tier", "dfs"}}).inc(4);
+  m.inc("engine.gpu_like_total");
+  m.gauge("gpu_cache_region_used_bytes").set(1.0);
+  EXPECT_FALSE(obs::has_gflink_counters(m));
+
+  obs::MetricsRegistry gpu = m;
+  gpu.counter("gpu_kernels_total", {{"node", "1"}}).inc();
+  EXPECT_TRUE(obs::has_gflink_counters(gpu));
+  obs::MetricsRegistry gstream = m;
+  gstream.inc("gstream_steals_total", 0.0);  // registered, even at 0
+  EXPECT_TRUE(obs::has_gflink_counters(gstream));
+}
+
 TEST(RunReport, DerivedMetricsHandleEmptyRegistry) {
   obs::MetricsRegistry m;
   obs::add_derived_gflink_metrics(m);

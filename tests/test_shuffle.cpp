@@ -136,35 +136,34 @@ TEST(Shuffle, PartitionWithCombineIsExactAndDeterministic) {
   EXPECT_EQ(total, rows.size());
 }
 
-/// Rows over keys that stress the flat combine index: 0 and ~0ULL (all
-/// valid keys), strided keys that share their low bits (collide modulo any
-/// power-of-two table size), and enough distinct keys to force several
-/// table growths. Keys repeat, so combining does real work.
-std::vector<KV> index_stress_rows() {
+/// `count` rows over `distinct` keys that stress the flat combine index: 0
+/// and ~0ULL (all valid keys), strided keys that share their low bits
+/// (collide modulo any power-of-two table size), then random keys. With
+/// thousands of distinct keys the table grows several times. Keys repeat,
+/// so combining does real work.
+std::vector<KV> stress_rows(std::size_t distinct, std::size_t count, std::uint64_t seed) {
   std::vector<std::uint64_t> pool = {0, ~0ULL, 1, ~0ULL - 1};
   for (std::uint64_t i = 1; i <= 64; ++i) {
     pool.push_back(i << 16);
     pool.push_back(i << 32);
     pool.push_back(i << 58);
   }
-  std::uint64_t s = 11;
-  while (pool.size() < 3000) pool.push_back(sim::splitmix64(s));
+  std::uint64_t s = seed;
+  if (pool.size() > distinct) pool.resize(distinct);
+  while (pool.size() < distinct) pool.push_back(sim::splitmix64(s));
   std::vector<KV> rows;
-  for (std::size_t i = 0; i < 20000; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     rows.push_back(KV{pool[sim::splitmix64(s) % pool.size()], static_cast<std::int64_t>(i)});
   }
   return rows;
 }
 
-TEST(Shuffle, CombineIndexMatchesOrderedMapReference) {
-  Harness h(sh::ShuffleConfig{});
-  const int partitions = 5;
-  sh::ShuffleSession session(h.service, partitions, "t");
-  const std::vector<KV> rows = index_stress_rows();
-  const sh::CombineFn combiner = &combine_kv;
-  auto buckets = session.partition(make_batch(rows), &kv_desc(), &shuffle_key, &combiner);
+std::vector<KV> index_stress_rows() { return stress_rows(3000, 20000, 11); }
 
-  // Reference: a std::map per bucket from key to accumulator slot.
+/// The per-record reference combine: a std::map per bucket from key to
+/// accumulator slot, each key's bucket picked by the shuffle's hash.
+std::vector<std::vector<KV>> ordered_map_combine(const std::vector<KV>& rows,
+                                                 std::size_t partitions) {
   std::vector<std::vector<KV>> expected(partitions);
   std::vector<std::map<std::uint64_t, std::size_t>> slots(partitions);
   for (const KV& kv : rows) {
@@ -177,6 +176,18 @@ TEST(Shuffle, CombineIndexMatchesOrderedMapReference) {
       expected[t][it->second].value += kv.value;
     }
   }
+  return expected;
+}
+
+TEST(Shuffle, CombineIndexMatchesOrderedMapReference) {
+  Harness h(sh::ShuffleConfig{});
+  const int partitions = 5;
+  sh::ShuffleSession session(h.service, partitions, "t");
+  const std::vector<KV> rows = index_stress_rows();
+  const sh::CombineFn combiner = &combine_kv;
+  auto buckets = session.partition(make_batch(rows), &kv_desc(), &shuffle_key, &combiner);
+
+  const std::vector<std::vector<KV>> expected = ordered_map_combine(rows, partitions);
   ASSERT_EQ(buckets.size(), expected.size());
   for (std::size_t t = 0; t < expected.size(); ++t) {
     ASSERT_EQ(buckets[t].count(), expected[t].size());
@@ -306,6 +317,140 @@ std::int64_t run_reduce_job(df::Engine& engine) {
 }
 
 constexpr std::int64_t kExpectedTotal = 4000LL * 3999 / 2;
+
+// ---- The keyed combine loop (map side, merge, reused index) -----------------
+
+/// The reduce node as DataSet::reduce_by_key compiles it: typed key and
+/// combine inlined into the per-batch keyed combine.
+df::PlanNodePtr typed_sum_node(df::Engine& engine) {
+  return df::DataSet<KV>::from_generator(engine, &kv_desc(), 1, [](int, std::vector<KV>&) {})
+      .reduce_by_key("sum", df::OpCost{}, [](const KV& kv) { return kv.key; },
+                     [](KV& acc, const KV& kv) { acc.value += kv.value; })
+      .node();
+}
+
+/// Map-side combine of `in` into `partitions` buckets through `scratch`.
+std::vector<mem::RecordBatch> map_side(const df::OpNode& reduce, const mem::RecordBatch& in,
+                                       sh::CombineScratch& scratch, std::size_t partitions) {
+  std::vector<mem::RecordBatch> buckets(partitions, mem::RecordBatch(&kv_desc()));
+  reduce.keyed_combine({&in, 1}, scratch, buckets);
+  return buckets;
+}
+
+/// The reduce-side merge as it was before the keyed combine: concatenate
+/// the deposited buckets, then fold record by record through type-erased
+/// key and combine functions, each key into the first record seen with it.
+mem::RecordBatch old_combine_by_key(const std::vector<mem::RecordBatch>& deposited) {
+  mem::RecordBatch all(&kv_desc());
+  for (const auto& b : deposited) {
+    if (!b.empty()) all.append_raw(b.record_ptr(0), b.count());
+  }
+  const sh::KeyFn key = &shuffle_key;
+  const sh::CombineFn combine = &combine_kv;
+  mem::RecordBatch acc(&kv_desc());
+  std::map<std::uint64_t, std::size_t> slot;
+  for (std::size_t i = 0; i < all.count(); ++i) {
+    const std::byte* rec = all.record_ptr(i);
+    const auto [it, inserted] = slot.try_emplace(key(rec), acc.count());
+    if (inserted) {
+      acc.append_raw(rec);
+    } else {
+      combine(acc.record_ptr(it->second), rec);
+    }
+  }
+  return acc;
+}
+
+TEST(Shuffle, TypedMapSideCombineMatchesOrderedMapReference) {
+  df::Engine engine(tiny_engine_config());
+  const df::PlanNodePtr reduce = typed_sum_node(engine);
+  const std::vector<KV> rows = index_stress_rows();
+  const mem::RecordBatch in = make_batch(rows);
+  const std::size_t partitions = 40;
+  sh::CombineScratch scratch;
+  const std::vector<mem::RecordBatch> buckets = map_side(*reduce, in, scratch, partitions);
+
+  const std::vector<std::vector<KV>> expected = ordered_map_combine(rows, partitions);
+  ASSERT_EQ(buckets.size(), expected.size());
+  for (std::size_t t = 0; t < expected.size(); ++t) {
+    ASSERT_EQ(buckets[t].count(), expected[t].size());
+    ASSERT_EQ(buckets[t].bytes().size(), expected[t].size() * sizeof(KV));
+    EXPECT_EQ(0, std::memcmp(buckets[t].bytes().data(), expected[t].data(),
+                             expected[t].size() * sizeof(KV)))
+        << "bucket " << t;
+  }
+
+  // The std::function instantiation behind ShuffleSession::partition gives
+  // the same bytes.
+  sh::ShuffleSession session(engine.shuffle_service(), static_cast<int>(partitions), "t");
+  const sh::CombineFn combiner = &combine_kv;
+  const auto erased = session.partition(in, &kv_desc(), &shuffle_key, &combiner);
+  ASSERT_EQ(erased.size(), partitions);
+  for (std::size_t t = 0; t < partitions; ++t) {
+    EXPECT_EQ(erased[t].bytes(), buckets[t].bytes()) << "bucket " << t;
+  }
+}
+
+TEST(Shuffle, OneBucketMergeMatchesOldCombineByKey) {
+  df::Engine engine(tiny_engine_config());
+  const df::PlanNodePtr reduce = typed_sum_node(engine);
+  const std::vector<KV> rows = index_stress_rows();
+  // Deposited buckets of uneven size, some empty, covering every row once.
+  std::vector<mem::RecordBatch> deposited;
+  std::size_t next = 0;
+  for (const std::size_t n : {0, 1, 4999, 0, 7000, 3, 7997}) {
+    deposited.push_back(make_batch({rows.begin() + static_cast<std::ptrdiff_t>(next),
+                                    rows.begin() + static_cast<std::ptrdiff_t>(next + n)}));
+    next += n;
+  }
+  ASSERT_EQ(next, rows.size());
+
+  const mem::RecordBatch merged = engine.combine_by_key(*reduce, deposited);
+  const mem::RecordBatch old = old_combine_by_key(deposited);
+  ASSERT_EQ(merged.count(), old.count());
+  EXPECT_EQ(merged.bytes(), old.bytes());
+  const std::vector<KV> expected = ordered_map_combine(rows, 1).front();
+  ASSERT_EQ(merged.bytes().size(), expected.size() * sizeof(KV));
+  EXPECT_EQ(0, std::memcmp(merged.bytes().data(), expected.data(), merged.bytes().size()));
+}
+
+TEST(Shuffle, ReusedCombineScratchMatchesFreshScratch) {
+  // One engine's scratch serves every combine in turn: a merge, a typed
+  // map-side combine and a type-erased partition per input, over inputs of
+  // 3000 keys, 1 key, no records, then 3000 other keys.
+  df::Engine engine(tiny_engine_config());
+  const df::PlanNodePtr reduce = typed_sum_node(engine);
+  sh::CombineScratch& shared = engine.shuffle_service().combine_scratch();
+  const std::size_t partitions = 40;
+  sh::ShuffleSession session(engine.shuffle_service(), static_cast<int>(partitions), "t");
+  const sh::CombineFn combiner = &combine_kv;
+  const std::vector<std::vector<KV>> inputs = {
+      stress_rows(3000, 20000, 21), stress_rows(1, 500, 22), {}, stress_rows(3000, 20000, 23)};
+  std::size_t grown = 0;
+  for (std::size_t call = 0; call < inputs.size(); ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    const mem::RecordBatch in = make_batch(inputs[call]);
+
+    sh::CombineScratch fresh_merge;
+    mem::RecordBatch want_merged(&kv_desc());
+    reduce->keyed_combine({&in, 1}, fresh_merge, {&want_merged, 1});
+    EXPECT_EQ(engine.combine_by_key(*reduce, {&in, 1}).bytes(), want_merged.bytes());
+
+    sh::CombineScratch fresh_map;
+    const auto want = map_side(*reduce, in, fresh_map, partitions);
+    const auto got = map_side(*reduce, in, shared, partitions);
+    const auto erased = session.partition(in, &kv_desc(), &shuffle_key, &combiner);
+    for (std::size_t t = 0; t < partitions; ++t) {
+      EXPECT_EQ(got[t].bytes(), want[t].bytes()) << "bucket " << t;
+      EXPECT_EQ(erased[t].bytes(), want[t].bytes()) << "bucket " << t;
+    }
+    EXPECT_EQ(shared.keys.size(), fresh_map.keys.size());
+    // The shared index keeps the capacity its largest combine needed.
+    if (call == 0) grown = shared.keys.capacity();
+    EXPECT_EQ(shared.keys.capacity(), grown);
+  }
+  EXPECT_GE(grown, 2u * 3000);
+}
 
 TEST(Shuffle, EngineRetriesInjectedFaultsToExactResult) {
   df::Engine engine(tiny_engine_config());
